@@ -29,7 +29,7 @@ use ljqo_catalog::{CatalogError, JoinEdge, Query, QueryBuilder};
 use ljqo_json::Value;
 
 /// A relation in the input file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelationSpec {
     /// Relation name; joins refer to it.
     pub name: String,
@@ -40,7 +40,7 @@ pub struct RelationSpec {
 }
 
 /// A join predicate in the input file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinSpec {
     /// Name of one side.
     pub left: String,
@@ -55,7 +55,7 @@ pub struct JoinSpec {
 }
 
 /// The top-level query file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryFile {
     /// Relations, in id order.
     pub relations: Vec<RelationSpec>,
@@ -119,6 +119,12 @@ impl QueryFile {
     /// Parse from JSON text.
     pub fn from_json(text: &str) -> Result<Self, FileError> {
         let root = ljqo_json::parse(text).map_err(|e| bad(e.to_string()))?;
+        Self::from_value(&root)
+    }
+
+    /// Decode from an already-parsed JSON document, e.g. the `"query"`
+    /// member of a serving request, without printing and re-parsing it.
+    pub fn from_value(root: &Value) -> Result<Self, FileError> {
         let relations = root
             .get("relations")
             .and_then(Value::as_array)
@@ -366,6 +372,62 @@ mod tests {
                 let back = QueryFile::from_json(&text).unwrap().into_query().unwrap();
                 assert_eq!(back, q, "{shape:?} seed {seed}");
             }
+        }
+    }
+
+    /// `from_value` on the parsed document must agree with `from_json`
+    /// on the text: the same `QueryFile`, or the same error message.
+    fn assert_decoders_agree(text: &str) {
+        let via_text = QueryFile::from_json(text);
+        match ljqo_json::parse(text) {
+            Ok(doc) => match (QueryFile::from_value(&doc), via_text) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{text}"),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{text}"),
+                (a, b) => panic!("decoders disagree on {text}: {a:?} vs {b:?}"),
+            },
+            Err(e) => assert_eq!(
+                via_text.unwrap_err().to_string(),
+                FileError::Json(e.to_string()).to_string()
+            ),
+        }
+    }
+
+    #[test]
+    fn from_value_matches_from_json() {
+        use ljqo_workload::{generate_job_query, JobShape, JobSpec};
+        assert_decoders_agree(SAMPLE);
+        assert_decoders_agree(include_str!("../../../examples/data/sample_query.json"));
+        for shape in JobShape::ALL {
+            for seed in 0..4 {
+                let q = generate_job_query(&JobSpec::new(shape), 12, seed);
+                let text = QueryFile::from_query(&q).to_json().to_string_pretty();
+                assert_decoders_agree(&text);
+                let file = QueryFile::from_json(&text).unwrap();
+                assert_eq!(file.into_query().unwrap(), q, "{shape:?} seed {seed}");
+            }
+        }
+        let malformed = [
+            "not json",
+            "[1, 2,]",
+            "[]",
+            "{}",
+            r#"{"relations": []}"#,
+            r#"{"relations": {}, "joins": []}"#,
+            r#"{"relations": [], "joins": 3}"#,
+            r#"{"relations": [{"cardinality": 5}], "joins": []}"#,
+            r#"{"relations": [{"name": 7, "cardinality": 5}], "joins": []}"#,
+            r#"{"relations": [{"name": "a", "cardinality": -1}], "joins": []}"#,
+            r#"{"relations": [{"name": "a", "cardinality": 2.5}], "joins": []}"#,
+            r#"{"relations": [{"name": "a", "cardinality": 5, "selections": 0.5}], "joins": []}"#,
+            r#"{"relations": [{"name": "a", "cardinality": 5, "selections": ["x"]}], "joins": []}"#,
+            r#"{"relations": [{"name": "a", "cardinality": 5}], "joins": [{"left": "a"}]}"#,
+            r#"{"relations": [{"name": "a", "cardinality": 5}],
+                "joins": [{"left": "a", "right": "a", "selectivity": "0.1"}]}"#,
+            r#"{"relations": [{"name": "a", "cardinality": 5}],
+                "joins": [{"left": "a", "right": "b", "distinct_left": null}]}"#,
+        ];
+        for text in malformed {
+            assert_decoders_agree(text);
         }
     }
 

@@ -31,6 +31,7 @@
 //! ([`CacheOutcome::Stale`]), so a poisoned cache can cost latency but
 //! never correctness.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -264,8 +265,11 @@ pub fn optimize_cached_parallel(
 /// [`optimize_batch`](crate::optimize_batch) behind a plan cache, with
 /// in-batch dedup.
 ///
+/// `queries` may be owned (`&[Query]`) or borrowed (`&[&Query]`), so a
+/// caller that holds its queries elsewhere need not clone them.
 /// Queries are fingerprinted up front and grouped; each group is served
-/// by one pool thread:
+/// by one pool thread (the caller's own thread when
+/// [`BatchOptions::threads`] is 1):
 ///
 /// * a group whose fingerprint is already resident serves every member
 ///   from the cache (counted in [`BatchReport::n_cache_hits`]);
@@ -282,8 +286,8 @@ pub fn optimize_cached_parallel(
 /// most `F` cold solves (plus per-member fallbacks, which only fire on
 /// validity failures), and [`BatchReport::n_cold_solves`] says how many
 /// actually ran.
-pub fn optimize_batch_cached(
-    queries: &[Query],
+pub fn optimize_batch_cached<Q: Borrow<Query> + Sync>(
+    queries: &[Q],
     model: &(dyn CostModel + Sync),
     config: &OptimizerConfig,
     options: &BatchOptions,
@@ -308,8 +312,8 @@ pub fn optimize_batch_cached(
 /// per-class budget split with online feedback. The caching, dedup,
 /// seeding, and reporting contracts are identical to
 /// [`optimize_batch_cached`]; only the cold path differs.
-pub fn optimize_batch_cached_routed(
-    queries: &[Query],
+pub fn optimize_batch_cached_routed<Q: Borrow<Query> + Sync>(
+    queries: &[Q],
     model: &(dyn CostModel + Sync),
     config: &OptimizerConfig,
     options: &BatchOptions,
@@ -330,8 +334,8 @@ pub fn optimize_batch_cached_routed(
 
 /// The shared batch body: `cold` is the per-query cold solver (already
 /// closed over the model), invoked with the member's derived config.
-fn optimize_batch_cached_with(
-    queries: &[Query],
+fn optimize_batch_cached_with<Q: Borrow<Query> + Sync>(
+    queries: &[Q],
     model: &(dyn CostModel + Sync),
     config: &OptimizerConfig,
     options: &BatchOptions,
@@ -347,6 +351,7 @@ fn optimize_batch_cached_with(
     let mut prints: Vec<Option<Fingerprinted>> = Vec::with_capacity(queries.len());
     let mut errors: Vec<Option<OptError>> = Vec::with_capacity(queries.len());
     for q in queries {
+        let q = q.borrow();
         match q.validate() {
             Ok(()) => {
                 prints.push(Some(fingerprint(q, fp_config)));
@@ -387,37 +392,43 @@ fn optimize_batch_cached_with(
         cfg
     };
 
+    let serve_groups = |next: &AtomicUsize| {
+        let mut out: Vec<(usize, Served)> = Vec::new();
+        loop {
+            let g = next.fetch_add(1, Ordering::Relaxed);
+            let Some(group) = group_list.get(g) else {
+                break;
+            };
+            serve_group(
+                queries,
+                model,
+                cache,
+                &prints,
+                group,
+                &cold_config,
+                cold,
+                &mut out,
+            );
+        }
+        out
+    };
     let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, Served)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out: Vec<(usize, Served)> = Vec::new();
-                    loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(group) = group_list.get(g) else {
-                            break;
-                        };
-                        serve_group(
-                            queries,
-                            model,
-                            cache,
-                            &prints,
-                            group,
-                            &cold_config,
-                            cold,
-                            &mut out,
-                        );
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("cold paths are panic-isolated internally"))
-            .collect()
-    });
+    // One thread (the serving daemon's setting) runs on the caller's
+    // thread: spawning and joining a scoped thread per batch would only
+    // add latency to every request.
+    let mut collected: Vec<(usize, Served)> = if threads == 1 {
+        serve_groups(&next)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| scope.spawn(|| serve_groups(&next)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("cold paths are panic-isolated internally"))
+                .collect()
+        })
+    };
 
     // Queries that failed catalog validation never entered a group.
     for (i, err) in errors.into_iter().enumerate() {
@@ -498,8 +509,8 @@ type ColdSolver<'a> = &'a (dyn Fn(&Query, &OptimizerConfig) -> Result<Optimized,
 /// Serve one fingerprint group: at most one cold solve, members reuse
 /// the resulting entry (or fall back to their own cold solve).
 #[allow(clippy::too_many_arguments)]
-fn serve_group(
-    queries: &[Query],
+fn serve_group<Q: Borrow<Query>>(
+    queries: &[Q],
     model: &(dyn CostModel + Sync),
     cache: &PlanCache,
     prints: &[Option<Fingerprinted>],
@@ -512,7 +523,7 @@ fn serve_group(
     let mut from_batch = false; // entry produced by this group's own cold solve
     for (pos, &i) in group.iter().enumerate() {
         let fp = prints[i].as_ref().expect("grouped queries fingerprinted");
-        let query = &queries[i];
+        let query = queries[i].borrow();
         // Representative (first member): consult the shared cache.
         if pos == 0 {
             entry = cache.get(fp.fingerprint());

@@ -279,11 +279,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse a JSON document. Trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace writes nests a handful of levels; the cap keeps a hostile
+/// input such as a long run of `[` from exhausting the parsing thread's
+/// stack (the parser recurses once per level).
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`]. Runs in time linear in the input.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -295,8 +304,12 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same text as bytes.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -337,8 +350,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -441,13 +465,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash. Both are ASCII, so the run starts and
+                    // ends on character boundaries of the `&str` input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -540,18 +566,187 @@ mod tests {
     }
 
     #[test]
-    fn escapes_round_trip() {
-        let v = json!("line\nbreak \"quoted\" back\\slash");
-        let parsed = parse(&v.to_string_compact()).unwrap();
-        assert_eq!(parsed, v);
-    }
-
-    #[test]
     fn parse_errors_carry_offsets() {
         let err = parse("{ \"a\": }").unwrap_err();
         assert_eq!(err.offset, 7);
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("[1] x").is_err());
+    }
+
+    /// Strings that exercise every branch of the string scanner:
+    /// multi-byte UTF-8, every escape the printer emits, control
+    /// characters, and runs that end right before `"` or `\`.
+    const TRICKY_STRINGS: &[&str] = &[
+        "",
+        "plain ascii",
+        "line\nbreak \"quoted\" back\\slash",
+        "é",
+        "naïve café — 東京 🚀",
+        "🚀\"",
+        "東\\",
+        "\"",
+        "\\",
+        "\"\\\"\\",
+        "a\"b\\c",
+        "line\nbreak\rreturn\ttab",
+        "\u{0}\u{1}\u{8}\u{c}\u{1f}",
+        "/slash/",
+        "ends in multibyte ü",
+        "ü starts in multibyte",
+        "\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}",
+    ];
+
+    #[test]
+    fn escapes_round_trip() {
+        for &s in TRICKY_STRINGS {
+            let v = json!(s);
+            assert_eq!(parse(&v.to_string_compact()).unwrap(), v, "{s:?}");
+            let obj = Value::Object(vec![(s.to_string(), json!([s, json!({ "k": s })]))]);
+            assert_eq!(parse(&obj.to_string_compact()).unwrap(), obj, "{s:?}");
+            assert_eq!(parse(&obj.to_string_pretty()).unwrap(), obj, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn every_escape_decodes() {
+        let text = r#""\"\\\/\b\f\n\r\t\u0041\u00e9\u6771\uFFFF""#;
+        assert_eq!(
+            parse(text).unwrap(),
+            json!("\"\\/\u{8}\u{c}\n\r\tAé東\u{ffff}")
+        );
+        // A `\u` escape right before the closing quote, then a run.
+        assert_eq!(parse(r#""\u0041""#).unwrap(), json!("A"));
+        assert_eq!(parse(r#""x\u0041y""#).unwrap(), json!("xAy"));
+    }
+
+    /// The string decoder this crate shipped before the run-copying
+    /// scanner: one code point at a time. Kept as the reference the
+    /// differential test below compares against.
+    fn reference_string(text: &str) -> Result<String, ParseError> {
+        let bytes = text.as_bytes();
+        let err = |message: &str, offset: usize| ParseError {
+            message: message.to_string(),
+            offset,
+        };
+        if bytes.first() != Some(&b'"') {
+            return Err(err("expected '\"'", 0));
+        }
+        let mut pos = 1;
+        let mut out = String::new();
+        loop {
+            match bytes.get(pos).copied() {
+                None => return Err(err("unterminated string", pos)),
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => {
+                    pos += 1;
+                    match bytes.get(pos).copied() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(pos + 1..pos + 5)
+                                .ok_or_else(|| err("truncated \\u escape", pos))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| err("invalid \\u escape", pos))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| err("invalid \\u escape", pos))?;
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or_else(|| err("invalid \\u code point", pos))?,
+                            );
+                            pos += 4;
+                        }
+                        _ => return Err(err("invalid escape", pos)),
+                    }
+                    pos += 1;
+                }
+                Some(_) => {
+                    let c = text[pos..].chars().next().unwrap();
+                    out.push(c);
+                    pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_scanner_matches_reference_decoder() {
+        // Pieces that, glued at random, hit every scanner branch and
+        // every error path: escapes (valid, truncated, bad), quotes,
+        // multi-byte characters and raw control characters.
+        const PIECES: &[&str] = &[
+            "a", "xyz", "é", "東", "🚀", "\"", "\\", "\\\"", "\\\\", "\\n", "\\/", "\\u00e9",
+            "\\u12", "\\uD800", "\\u+041", "\\q", "\t", "\u{1}", " ",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..4000 {
+            let len = (next() % 12) as usize;
+            let mut text = String::from("\"");
+            for _ in 0..len {
+                text.push_str(PIECES[(next() % PIECES.len() as u64) as usize]);
+            }
+            if next() % 4 != 0 {
+                text.push('"');
+            }
+            let want = reference_string(&text);
+            // A document ends at the first unescaped quote; whatever
+            // follows is trailing garbage, so compare the string itself.
+            let mut p = Parser {
+                text: &text,
+                bytes: text.as_bytes(),
+                pos: 0,
+                depth: 0,
+            };
+            assert_eq!(p.string(), want, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).unwrap_err().message.contains("nesting"));
+        // Far past the cap, unbalanced: rejected, not a stack overflow.
+        assert!(parse(&"[".repeat(20_000)).is_err());
+        assert!(parse(&"{\"a\":[".repeat(20_000)).is_err());
+        // Depth is released on close: many shallow siblings are fine.
+        let wide = format!("[{}]", vec![deep(MAX_DEPTH - 1); 50].join(","));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn four_mib_string_parses_in_linear_time() {
+        // The server's default frame cap (`DEFAULT_MAX_FRAME_BYTES` in
+        // `ljqo-server`): the largest payload a client can send. A
+        // per-character rescan of the remaining input took hours here.
+        const FRAME_CAP: usize = 4 << 20;
+        let body = "é東a".repeat(FRAME_CAP / 6);
+        let text = format!("{{\"s\":\"{body}\"}}");
+        let started = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(v.get("s").and_then(Value::as_str), Some(body.as_str()));
+        assert!(elapsed.as_secs_f64() < 5.0, "4 MiB string took {elapsed:?}");
     }
 
     #[test]

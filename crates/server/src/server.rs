@@ -30,7 +30,7 @@
 //! with a final stats document.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -486,11 +486,10 @@ fn serve_conn(inner: &Arc<Inner>, mut stream: TcpStream) -> io::Result<()> {
     }
 }
 
-fn serve_binary(
-    inner: &Arc<Inner>,
-    conn: &Arc<ConnShared>,
-    mut stream: TcpStream,
-) -> io::Result<()> {
+fn serve_binary(inner: &Arc<Inner>, conn: &Arc<ConnShared>, stream: TcpStream) -> io::Result<()> {
+    // Buffered, so a frame's type byte, length and payload usually come
+    // in with one `read` syscall rather than three.
+    let mut stream = BufReader::new(stream);
     loop {
         let frame = match read_frame(&mut stream, inner.config.max_frame_bytes) {
             Ok(Some(f)) => f,
@@ -563,8 +562,7 @@ fn handle_optimize(inner: &Arc<Inner>, conn: &Arc<ConnShared>, payload: &[u8]) {
         );
         return;
     };
-    let query =
-        QueryFile::from_json(&query_value.to_string_compact()).and_then(QueryFile::into_query);
+    let query = QueryFile::from_value(query_value).and_then(QueryFile::into_query);
     let query = match query {
         Ok(q) => q,
         Err(e) => {
@@ -633,7 +631,7 @@ fn batch_worker(inner: Arc<Inner>) {
 /// every response back.
 fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
     inner.stats.record_batch(batch.len());
-    let queries: Vec<Query> = batch.iter().map(|p| p.query.clone()).collect();
+    let queries: Vec<&Query> = batch.iter().map(|p| &p.query).collect();
     let options = BatchOptions {
         // Workers are already the parallelism; keep each batch solve
         // single-threaded so `--workers N` bounds total CPU use.

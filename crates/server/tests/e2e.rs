@@ -218,6 +218,53 @@ fn malformed_and_invalid_requests_get_typed_errors() {
 }
 
 #[test]
+fn hostile_frames_get_typed_errors_and_leave_the_daemon_up() {
+    let (addr, handle, join) = start(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+
+    // 20 000 open brackets: past the JSON nesting cap, so a parse error
+    // (`bad_request`), not a stack overflow that aborts the process.
+    let deep = format!(r#"{{"id": 1, "query": {}}}"#, "[".repeat(20_000));
+    client.send_raw_optimize(deep.as_bytes()).unwrap();
+    let (_, reply) = client.recv().unwrap();
+    assert_eq!(get(&reply, &["ok"]).as_bool(), Some(false));
+    assert_eq!(get(&reply, &["code"]).as_str(), Some("bad_request"));
+
+    // A 1 MiB string: decoded in linear time, then rejected because a
+    // string is not a query.
+    let long = "é東x".repeat((1 << 20) / 6);
+    let frame = format!(r#"{{"id": 2, "query": "{long}"}}"#);
+    let started = std::time::Instant::now();
+    client.send_raw_optimize(frame.as_bytes()).unwrap();
+    let (_, reply) = client.recv().unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(get(&reply, &["id"]).as_u64(), Some(2));
+    assert_eq!(get(&reply, &["code"]).as_str(), Some("invalid_query"));
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "1 MiB string took {elapsed:?}"
+    );
+
+    // Both counted as invalid; the daemon still reports healthy.
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        get(&stats, &["requests", "rejected_invalid"]).as_u64(),
+        Some(2)
+    );
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    std::io::Read::read_to_string(&mut stream, &mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+    assert!(response.contains("\"ok\": true"), "{response}");
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn unsupported_version_gets_an_error_frame() {
     let (addr, handle, join) = start(ServerConfig::default());
     let mut stream = TcpStream::connect(addr).unwrap();
