@@ -268,8 +268,8 @@ pub fn optimize_cached_parallel(
 /// `queries` may be owned (`&[Query]`) or borrowed (`&[&Query]`), so a
 /// caller that holds its queries elsewhere need not clone them.
 /// Queries are fingerprinted up front and grouped; each group is served
-/// by one pool thread (the caller's own thread when
-/// [`BatchOptions::threads`] is 1):
+/// by one pool thread, and the caller's own thread is one of them (so
+/// [`BatchOptions::threads`] = 1 spawns none):
 ///
 /// * a group whose fingerprint is already resident serves every member
 ///   from the cache (counted in [`BatchReport::n_cache_hits`]);
@@ -413,22 +413,18 @@ fn optimize_batch_cached_with<Q: Borrow<Query> + Sync>(
         out
     };
     let next = AtomicUsize::new(0);
-    // One thread (the serving daemon's setting) runs on the caller's
-    // thread: spawning and joining a scoped thread per batch would only
-    // add latency to every request.
-    let mut collected: Vec<(usize, Served)> = if threads == 1 {
-        serve_groups(&next)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|| serve_groups(&next)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("cold paths are panic-isolated internally"))
-                .collect()
-        })
-    };
+    // The caller takes one worker's share, so one thread (the serving
+    // daemon's setting) spawns nothing.
+    let mut collected: Vec<(usize, Served)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads)
+            .map(|_| scope.spawn(|| serve_groups(&next)))
+            .collect();
+        let mut out = serve_groups(&next);
+        for h in handles {
+            out.extend(h.join().expect("cold paths are panic-isolated internally"));
+        }
+        out
+    });
 
     // Queries that failed catalog validation never entered a group.
     for (i, err) in errors.into_iter().enumerate() {

@@ -93,8 +93,14 @@ impl Value {
     /// Compact one-line rendering.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        write_value(&mut out, self, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Append the compact rendering to `out`, for a caller that wants the
+    /// text after a prefix of its own without copying it there.
+    pub fn write_compact(&self, out: &mut String) {
+        write_value(out, self, None, 0);
     }
 
     /// Pretty rendering with two-space indentation (the `serde_json`
@@ -350,19 +356,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{' | b'[') => {
-                if self.depth == MAX_DEPTH {
-                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
-                }
-                self.depth += 1;
-                let v = if self.peek() == Some(b'{') {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                v
-            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -370,6 +365,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an object or array one level deeper, refusing to go past
+    /// [`MAX_DEPTH`] so hostile input cannot overflow the stack.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {

@@ -171,13 +171,27 @@ pub fn read_handshake(r: &mut impl Read) -> io::Result<u8> {
 /// `TCP_NODELAY` socket a frame costs one syscall and one segment
 /// rather than a header-sized packet followed by the payload.
 pub fn write_frame(w: &mut impl Write, kind: FrameType, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32 length"))?;
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.push(kind.byte());
-    frame.extend_from_slice(&len.to_be_bytes());
+    frame.resize(HEADER_LEN, 0);
     frame.extend_from_slice(payload);
+    seal_frame(kind, &mut frame)?;
     w.write_all(&frame)
+}
+
+/// Fill in the header of `frame`, whose first [`HEADER_LEN`] bytes are
+/// reserved for it and whose rest is the payload. A sender that builds
+/// its payload after a reserved header can then `write_all` the frame
+/// without the copy [`write_frame`] makes; the bytes are the same.
+pub fn seal_frame(kind: FrameType, frame: &mut [u8]) -> io::Result<()> {
+    let invalid = |msg| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    let payload_len = frame
+        .len()
+        .checked_sub(HEADER_LEN)
+        .ok_or_else(|| invalid("frame shorter than its header"))?;
+    let len = u32::try_from(payload_len).map_err(|_| invalid("payload exceeds u32 length"))?;
+    frame[0] = kind.byte();
+    frame[1..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+    Ok(())
 }
 
 /// Decode one frame from `r`.
@@ -276,6 +290,19 @@ mod tests {
             want.extend_from_slice(payload);
             assert_eq!(w.bytes, want);
         }
+    }
+
+    #[test]
+    fn sealed_frame_matches_write_frame() {
+        let payload = b"{\"ok\":true}";
+        let mut sealed = vec![0xAA; HEADER_LEN];
+        sealed.extend_from_slice(payload);
+        seal_frame(FrameType::Error, &mut sealed).unwrap();
+        let mut written = Vec::new();
+        write_frame(&mut written, FrameType::Error, payload).unwrap();
+        assert_eq!(sealed, written);
+        let err = seal_frame(FrameType::Error, &mut [0; HEADER_LEN - 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! with a final stats document.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,7 +51,7 @@ use ljqo_cli::QueryFile;
 use ljqo_cost::{CostModel, DiskCostModel, MemoryCostModel, MultiMethodCostModel};
 use ljqo_json::Value;
 
-use crate::protocol::{codes, read_frame, write_frame, FrameType, MAGIC, VERSION};
+use crate::protocol::{codes, read_frame, seal_frame, FrameType, HEADER_LEN, MAGIC, VERSION};
 use crate::stats::ServerStats;
 
 /// Everything the daemon needs to start. `Default` gives a local,
@@ -486,10 +486,11 @@ fn serve_conn(inner: &Arc<Inner>, mut stream: TcpStream) -> io::Result<()> {
     }
 }
 
-fn serve_binary(inner: &Arc<Inner>, conn: &Arc<ConnShared>, stream: TcpStream) -> io::Result<()> {
-    // Buffered, so a frame's type byte, length and payload usually come
-    // in with one `read` syscall rather than three.
-    let mut stream = BufReader::new(stream);
+fn serve_binary(
+    inner: &Arc<Inner>,
+    conn: &Arc<ConnShared>,
+    mut stream: TcpStream,
+) -> io::Result<()> {
     loop {
         let frame = match read_frame(&mut stream, inner.config.max_frame_bytes) {
             Ok(Some(f)) => f,
@@ -762,9 +763,13 @@ fn ok_body(pending: &Pending, r: &Optimized, via: &ServedVia, latency_us: u64) -
 /// Send one frame on a connection; write failures are counted, never
 /// propagated (the client owning the socket may simply be gone).
 fn send_payload(inner: &Inner, conn: &ConnShared, kind: FrameType, body: Value) -> bool {
-    let bytes = body.to_string_compact().into_bytes();
+    // Encode the body after a reserved header, so the frame goes out in
+    // one write with no second copy of the body.
+    let mut text = "\0".repeat(HEADER_LEN);
+    body.write_compact(&mut text);
+    let mut frame = text.into_bytes();
     let mut writer = conn.writer.lock().unwrap();
-    match write_frame(&mut *writer, kind, &bytes) {
+    match seal_frame(kind, &mut frame).and_then(|()| writer.write_all(&frame)) {
         Ok(()) => true,
         Err(_) => {
             inner.stats.send_failures.fetch_add(1, Ordering::Relaxed);
