@@ -12,10 +12,11 @@
 //! * **move evaluation** — apply a pre-sampled valid move, cost it, undo:
 //!   a from-scratch `order_cost` walk vs the compiled incremental
 //!   evaluator (`eval_move` + `rollback`).
-//! * **end-to-end II** (largest N only) — a complete
-//!   `IterativeImprovement::run` at a fixed unit budget: full evaluation,
-//!   incremental evaluation with legacy move filtering, and the default
-//!   compiled configuration.
+//! * **end-to-end II** — a complete II run at a fixed unit budget:
+//!   full evaluation (a model that opts out of incremental costing) with
+//!   legacy move filtering, incremental evaluation with legacy move
+//!   filtering (the full-scan [`MoveGenerator::new`]), and the
+//!   production configuration (compiled filter, incremental costing).
 //!
 //! Writes the snapshot consumed by EXPERIMENTS.md to
 //! `BENCH_compiled.json` at the workspace root (override the location
@@ -31,13 +32,36 @@ use rand::SeedableRng;
 
 use ljqo::IterativeImprovement;
 use ljqo_catalog::CompiledQuery;
+use ljqo_catalog::{Query, RelId};
 use ljqo_cost::estimate::SizeWalker;
-use ljqo_cost::{CostModel, Estimator, Evaluator, IncrementalEvaluator, MemoryCostModel};
+use ljqo_cost::{CostModel, Estimator, Evaluator, IncrementalEvaluator, JoinCtx, MemoryCostModel};
 use ljqo_plan::validity::ValidityChecker;
 use ljqo_plan::{random_valid_order, BitsetChecker, Move, MoveGenerator, MoveSet};
 use ljqo_workload::{generate_query, Benchmark};
 
 const MOVE_POOL: usize = 256;
+
+/// The memory model with incremental evaluation switched off, so the
+/// search loop re-walks the whole order for every candidate.
+struct FullWalkOnly(MemoryCostModel);
+
+impl CostModel for FullWalkOnly {
+    fn join_cost(&self, ctx: &JoinCtx) -> f64 {
+        self.0.join_cost(ctx)
+    }
+
+    fn name(&self) -> &'static str {
+        "full-walk-only"
+    }
+
+    fn lower_bound(&self, query: &Query, component: &[RelId]) -> f64 {
+        self.0.lower_bound(query, component)
+    }
+
+    fn supports_incremental(&self) -> bool {
+        false
+    }
+}
 
 fn json_num(x: f64) -> ljqo_json::Value {
     ljqo_json::Value::Number((x * 1000.0).round() / 1000.0)
@@ -191,22 +215,25 @@ fn main() {
     for &n in &sizes {
         let query = generate_query(&Benchmark::Default.spec(), n, 3);
         let comp: Vec<_> = query.rel_ids().collect();
-        let configs: [(&str, bool, bool); 3] = [
-            ("full", true, false),
-            ("incremental", false, false),
-            ("compiled", false, true),
+        let full_model = FullWalkOnly(model);
+        // (label, model, legacy full-scan filter?)
+        let configs: [(&str, &dyn CostModel, bool); 3] = [
+            ("full", &full_model, true),
+            ("incremental", &model, true),
+            ("compiled", &model, false),
         ];
+        let ii = IterativeImprovement::default();
         let mut e2e_ns = [0.0f64; 3];
-        for (slot, &(label, full_eval, compiled_moves)) in configs.iter().enumerate() {
-            let ii = IterativeImprovement {
-                full_eval,
-                compiled_moves,
-                ..IterativeImprovement::default()
-            };
+        for (slot, &(label, run_model, legacy_filter)) in configs.iter().enumerate() {
             e2e_ns[slot] = bench_ns(&format!("ii_run/{label}/{n}"), || {
-                let mut ev = Evaluator::with_budget(&query, &model, ii_budget);
+                let mut ev = Evaluator::with_budget(&query, run_model, ii_budget);
+                let gen = if legacy_filter {
+                    MoveGenerator::new(query.n_relations(), ii.move_set)
+                } else {
+                    MoveGenerator::with_compiled(ev.compiled().clone(), ii.move_set)
+                };
                 let mut run_rng = SmallRng::seed_from_u64(7);
-                ii.run(&mut ev, &comp, &mut run_rng);
+                ii.run_with_generator(&mut ev, gen, &comp, &mut run_rng);
                 black_box(ev.best_cost())
             });
         }

@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use ljqo::dp::optimal_order_dp;
-use ljqo::{IterativeImprovement, Method, MethodRunner, SimulatedAnnealing};
+use ljqo::{Method, MethodRunner};
 use ljqo_cost::{Evaluator, MemoryCostModel};
 use ljqo_workload::{generate_query, Benchmark};
 
@@ -17,11 +17,11 @@ fn bench_descent() {
     for &n in &[10usize, 50] {
         let query = generate_query(&Benchmark::Default.spec(), n, 31);
         let comp: Vec<_> = query.rel_ids().collect();
-        let ii = IterativeImprovement::default();
+        let runner = MethodRunner::default();
         bench(&format!("ii_budgeted_run/{n}"), || {
             let mut ev = Evaluator::with_budget(&query, &model, 2_000);
             let mut rng = SmallRng::seed_from_u64(3);
-            ii.run(&mut ev, &comp, &mut rng);
+            runner.run(Method::Ii, &mut ev, &comp, &mut rng);
             ev.best_cost()
         });
     }
@@ -31,11 +31,11 @@ fn bench_sa_chain() {
     let model = MemoryCostModel::default();
     let query = generate_query(&Benchmark::Default.spec(), 50, 37);
     let comp: Vec<_> = query.rel_ids().collect();
-    let sa = SimulatedAnnealing::default();
+    let runner = MethodRunner::default();
     bench("sa_budgeted_run/n50_2000units", || {
         let mut ev = Evaluator::with_budget(&query, &model, 2_000);
         let mut rng = SmallRng::seed_from_u64(5);
-        sa.run(&mut ev, &comp, &mut rng);
+        runner.run(Method::Sa, &mut ev, &comp, &mut rng);
         ev.best_cost()
     });
 }

@@ -3,24 +3,16 @@
 //! The paper's open problem (§2) is whether restricting the search to
 //! outer linear join trees forfeits much plan quality. [`crate::bushy`]
 //! answers it exactly for small components ([`optimal_bushy_dp`]); this
-//! module answers it at scale: iterative improvement
-//! ([`BushyIterativeImprovement`]) and simulated annealing
-//! ([`BushySimulatedAnnealing`]) over arena-backed trees
-//! ([`ljqo_plan::TreePlan`]), with candidates re-costed incrementally
-//! along the path from the moved subtree to the root
-//! ([`ljqo_cost::TreeEvaluator`]).
-//!
-//! The loops deliberately mirror their linear counterparts
-//! ([`crate::IterativeImprovement`], [`crate::SimulatedAnnealing`]):
-//! the same fail-limit and freezing rules, the same budget accounting
-//! (one unit per candidate via
-//! [`Evaluator::charge_eval`](ljqo_cost::Evaluator::charge_eval), plus
-//! one unit per validity-rejected proposal attempt) — so a bushy run at
-//! budget `τ·N²·κ` is directly comparable to a linear run at the same
-//! budget. One asymmetry: the [`Evaluator`] cannot track a best *tree*
-//! (its best-state channel is typed to [`JoinOrder`](ljqo_plan::JoinOrder)),
-//! so the bushy loops track the best tree themselves; early stopping
-//! against the model lower bound is therefore a linear-only feature.
+//! module answers it at scale: the same iterative-improvement and
+//! simulated-annealing loops that search join orders
+//! ([`crate::IterativeImprovement`], [`crate::SimulatedAnnealing`]) run
+//! over arena-backed trees ([`ljqo_plan::TreePlan`]), with candidates
+//! re-costed incrementally along the path from the moved subtree to the
+//! root ([`ljqo_cost::TreeEvaluator`]). The loops charge both spaces
+//! alike, so a bushy run at budget `τ·N²·κ` is directly comparable to a
+//! linear run at the same budget. The evaluator cannot track a best
+//! *tree*, so the tree state records it itself; early stopping against
+//! the model lower bound is therefore a linear-only feature.
 //!
 //! [`try_optimize_bushy`] is the end-to-end driver, mirroring
 //! [`crate::try_optimize`]: same per-component budget split, same
@@ -29,20 +21,19 @@
 //! left-deep embedding (costs agree bit-for-bit between the two walks,
 //! so no re-pricing is needed).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use ljqo_catalog::{CompiledQuery, Query, RelId};
-use ljqo_cost::estimate::{clamp_card, final_result_size};
-use ljqo_cost::{sanitize_cost, CostModel, Evaluator, JoinCtx, TreeEvaluator};
-use ljqo_plan::{random_valid_order, TreeMoveSet, TreePlan};
+use ljqo_cost::estimate::final_result_size;
+use ljqo_cost::{CostModel, Evaluator, TreeEvaluator};
+use ljqo_plan::TreePlan;
 
 use crate::bushy::{optimal_bushy_dp, BushyTree};
-use crate::driver::{component_fallback, ComponentOutcome, OptimizerConfig};
+use crate::driver::{assemble_segments, plan_components, OptimizerConfig};
 use crate::error::{Degradation, OptError};
 use crate::methods::{Method, MethodRunner};
+use crate::search::TreeState;
 
 impl BushyTree {
     /// Flatten the recursive tree into an arena [`TreePlan`] (leaves in
@@ -105,267 +96,6 @@ pub fn bushy_tree_cost(query: &Query, model: &dyn CostModel, tree: &BushyTree) -
     TreeEvaluator::new(model, compiled, plan).current_cost()
 }
 
-/// Iterative improvement over tree moves — the bushy counterpart of
-/// [`crate::IterativeImprovement`], with the same sampled local-minimum
-/// criterion.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BushyIterativeImprovement {
-    /// Tree-move mixture used to sample adjacent trees.
-    pub move_set: TreeMoveSet,
-    /// Local-minimum declaration threshold, as a fraction of `n²` (same
-    /// convention as the linear II).
-    pub fail_factor: f64,
-}
-
-impl Default for BushyIterativeImprovement {
-    fn default() -> Self {
-        BushyIterativeImprovement {
-            move_set: TreeMoveSet::default(),
-            fail_factor: 0.25,
-        }
-    }
-}
-
-impl BushyIterativeImprovement {
-    /// Consecutive-failure threshold for an `n`-leaf component.
-    pub fn fail_limit(&self, n: usize) -> u64 {
-        ((self.fail_factor * (n * n) as f64) as u64).max(32)
-    }
-
-    /// One greedy descent mutating the evaluator's current tree. Returns
-    /// the cost of the local minimum reached (or of the last state when
-    /// the budget ran out first). The caller has already paid for the
-    /// start state.
-    pub fn descend<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        te: &mut TreeEvaluator<'_>,
-        rng: &mut R,
-    ) -> f64 {
-        let mut current = te.current_cost();
-        let fail_limit = self.fail_limit(te.plan().n_leaves());
-        let mut fails = 0u64;
-        while fails < fail_limit && !ev.exhausted() {
-            let Some((_mv, attempts)) = te.propose(&self.move_set, rng) else {
-                break; // no perturbable neighborhood (tiny component)
-            };
-            ev.charge(u64::from(attempts) - 1);
-            let candidate = te.eval_pending();
-            ev.charge_eval();
-            if candidate < current {
-                te.commit();
-                current = candidate;
-                fails = 0;
-            } else {
-                te.rollback();
-                fails += u64::from(attempts);
-            }
-        }
-        current
-    }
-
-    /// The full bushy II method: repeated descents from the left-deep
-    /// embeddings of random valid orders until the budget is exhausted.
-    /// Returns the best local minimum (a greedy descent only ever
-    /// accepts improvements, so observing the end of each descent
-    /// suffices).
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        component: &[RelId],
-        rng: &mut R,
-    ) -> Option<(TreePlan, f64)> {
-        let model = ev.model();
-        let compiled = ev.compiled().clone();
-        let mut te: Option<TreeEvaluator<'_>> = None;
-        let mut best: Option<(TreePlan, f64)> = None;
-        while !ev.exhausted() {
-            let order = random_valid_order(ev.query().graph(), component, rng);
-            let plan = TreePlan::from_order(&compiled, order.rels());
-            let te = match &mut te {
-                Some(te) => {
-                    te.reset(plan);
-                    te
-                }
-                None => te.insert(TreeEvaluator::new(model, compiled.clone(), plan)),
-            };
-            ev.charge_eval(); // the start state is a candidate too
-            let cost = self.descend(ev, te, rng);
-            if best.as_ref().is_none_or(|b| cost < b.1) {
-                best = Some((te.plan().clone(), cost));
-            }
-            if component.len() < 3 {
-                break; // one tree shape exists; restarts would repeat it
-            }
-        }
-        best
-    }
-}
-
-/// Simulated annealing over tree moves — the bushy counterpart of
-/// [`crate::SimulatedAnnealing`], with the same JAMS87 calibration,
-/// chain, cooling and freezing rules.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BushySimulatedAnnealing {
-    /// Tree-move mixture.
-    pub move_set: TreeMoveSet,
-    /// Chain length multiplier (`size_factor · N` proposals per
-    /// temperature).
-    pub size_factor: usize,
-    /// Geometric cooling rate.
-    pub cooling: f64,
-    /// Target uphill acceptance probability at the initial temperature.
-    pub init_accept: f64,
-    /// Frozen after this many consecutive non-improving chains (with
-    /// collapsed acceptance).
-    pub frozen_chains: usize,
-    /// Acceptance ratio below which a chain counts as collapsed.
-    pub min_accept_ratio: f64,
-    /// Re-heat from the best tree instead of stopping when frozen with
-    /// budget to spare.
-    pub restart_on_frozen: bool,
-}
-
-impl Default for BushySimulatedAnnealing {
-    fn default() -> Self {
-        BushySimulatedAnnealing {
-            move_set: TreeMoveSet::default(),
-            size_factor: 16,
-            cooling: 0.95,
-            init_accept: 0.4,
-            frozen_chains: 5,
-            min_accept_ratio: 0.02,
-            restart_on_frozen: true,
-        }
-    }
-}
-
-impl BushySimulatedAnnealing {
-    /// Anneal from the evaluator's current tree (whose cost the caller
-    /// has already paid). Returns the best tree visited and its cost.
-    ///
-    /// Rejected candidates need no best-tracking: an SA rejection implies
-    /// the candidate was strictly uphill of the current state, and the
-    /// current state — having been evaluated — is never below the best.
-    pub fn anneal<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        te: &mut TreeEvaluator<'_>,
-        rng: &mut R,
-    ) -> (TreePlan, f64) {
-        let n = te.plan().n_leaves();
-        let start_cost = te.current_cost();
-        let mut best = te.plan().clone();
-        let mut best_cost = start_cost;
-        if n < 2 {
-            return (best, best_cost);
-        }
-
-        // Calibrate T₀ by a short always-accepting random walk, exactly
-        // like the linear annealer, then walk back to the start state
-        // (the memo rebuild is off-budget, mirroring `MovePath::reset_to`).
-        let home = te.plan().clone();
-        let mut current = start_cost;
-        let mut uphill_sum = 0.0f64;
-        let mut uphill_n = 0u32;
-        for _ in 0..20 {
-            if ev.exhausted() {
-                break;
-            }
-            let Some((_mv, attempts)) = te.propose(&self.move_set, rng) else {
-                break;
-            };
-            ev.charge(u64::from(attempts) - 1);
-            let c = te.eval_pending();
-            ev.charge_eval();
-            let delta = c - current;
-            if delta > 0.0 && delta.is_finite() {
-                uphill_sum += delta;
-                uphill_n += 1;
-            }
-            te.commit(); // random walk: always accept during calibration
-            current = c;
-            if c < best_cost {
-                best_cost = c;
-                best.copy_from(te.plan());
-            }
-        }
-        te.reset_from(&home);
-        let t0 = if uphill_n == 0 {
-            1.0
-        } else {
-            (uphill_sum / uphill_n as f64) / -(self.init_accept.ln())
-        };
-
-        let chain_length = (self.size_factor * n).max(4);
-        let mut temp = t0;
-        let mut stale_chains = 0usize;
-        let mut current = start_cost;
-        while !ev.exhausted() {
-            let best_before = best_cost;
-            let mut accepted = 0usize;
-            for _ in 0..chain_length {
-                if ev.exhausted() {
-                    break;
-                }
-                let Some((_mv, attempts)) = te.propose(&self.move_set, rng) else {
-                    break;
-                };
-                ev.charge(u64::from(attempts) - 1);
-                let candidate = te.eval_pending();
-                ev.charge_eval();
-                let delta = candidate - current;
-                let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
-                if accept {
-                    te.commit();
-                    current = candidate;
-                    accepted += 1;
-                    if candidate < best_cost {
-                        best_cost = candidate;
-                        best.copy_from(te.plan());
-                    }
-                } else {
-                    te.rollback();
-                }
-            }
-            temp *= self.cooling;
-            let improved = best_cost < best_before;
-            let collapsed = (accepted as f64) < self.min_accept_ratio * chain_length as f64;
-            if improved {
-                stale_chains = 0;
-            } else {
-                stale_chains += 1;
-            }
-            if stale_chains >= self.frozen_chains && collapsed {
-                if self.restart_on_frozen && !ev.exhausted() {
-                    te.reset_from(&best);
-                    current = best_cost;
-                    temp = (t0 * 0.5).max(f64::MIN_POSITIVE);
-                    stale_chains = 0;
-                } else {
-                    break;
-                }
-            }
-        }
-        (best, best_cost)
-    }
-
-    /// The full bushy SA method: anneal from the left-deep embedding of
-    /// one random valid order.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        component: &[RelId],
-        rng: &mut R,
-    ) -> Option<(TreePlan, f64)> {
-        let order = random_valid_order(ev.query().graph(), component, rng);
-        let plan = TreePlan::from_order(ev.compiled(), order.rels());
-        let mut te = TreeEvaluator::new(ev.model(), ev.compiled().clone(), plan);
-        ev.charge_eval();
-        Some(self.anneal(ev, &mut te, rng))
-    }
-}
-
 impl MethodRunner {
     /// Run `method` on one component **in the bushy space**, returning
     /// the best tree found. [`Method::BushySa`] (and `Sa`/`Saa`/`Sak`)
@@ -384,12 +114,14 @@ impl MethodRunner {
             let plan = TreePlan::from_order(&ev.compiled().clone(), component);
             return Some((plan, cost));
         }
+        let mut state = TreeState::new(ev, self.tree_moves);
         match method {
             Method::BushySa | Method::Sa | Method::Saa | Method::Sak => {
-                self.bushy_sa.run(ev, component, rng)
+                self.sa.run(ev, &mut state, component, rng)
             }
-            _ => self.bushy_ii.run(ev, component, rng),
+            _ => self.ii.run(ev, &mut state, component, rng),
         }
+        state.into_best()
     }
 }
 
@@ -443,148 +175,48 @@ pub fn try_optimize_bushy(
     model: &dyn CostModel,
     config: &OptimizerConfig,
 ) -> Result<BushyOptimized, OptError> {
-    query.validate()?;
-    let components = query.graph().components();
-    let n = query.n_joins().max(1);
-    let total_budget = config.budget_units(n);
-    let weight_sum: u64 = components
-        .iter()
-        .map(|c| (c.len() * c.len()) as u64)
-        .sum::<u64>()
-        .max(1);
-    let mut rng = SmallRng::seed_from_u64(config.seed);
     let linear_only = query.n_relations() > ljqo_catalog::BlockMask::CAPACITY;
-
-    let mut segments: Vec<(BushyTree, f64)> = Vec::with_capacity(components.len());
-    let mut units_used = 0;
-    let mut n_evals = 0;
-    let mut degradation = Degradation::None;
-    let mut deadline_expired = false;
-    for (idx, comp) in components.iter().enumerate() {
-        let share = total_budget.saturating_mul((comp.len() * comp.len()) as u64) / weight_sum;
-        let budget = share.max(4 * comp.len() as u64);
-
-        let mut outcome = ComponentOutcome {
-            best: None,
-            units_used: 0,
-            n_evals: 0,
-            deadline_expired: false,
-            degradation: Degradation::None,
+    // Early stopping is linear-only: tree candidates never feed
+    // `ev.best()`, so a stop threshold would never trip.
+    let search = |ev: &mut Evaluator<'_>, comp: &[RelId], rng: &mut SmallRng| {
+        let best = if linear_only {
+            config.runner.run(config.method, ev, comp, rng);
+            ev.best().map(|(o, c)| (BushyTree::left_deep(o.rels()), c))
+        } else {
+            config
+                .runner
+                .run_bushy(config.method, ev, comp, rng)
+                .map(|(p, c)| (BushyTree::from_plan(&p), c))
         };
-        let mut tree: Option<(BushyTree, f64)> = None;
+        best.filter(|(tree, _)| {
+            let mut leaves = tree.leaves();
+            leaves.sort_unstable();
+            let mut expect = comp.to_vec();
+            expect.sort_unstable();
+            leaves == expect
+        })
+    };
+    // Rungs 2–4 are the linear ladder, embedded left-deep. The linear
+    // walk and the tree walk price a left-deep shape identically, so the
+    // rescued order's cost carries over unchanged.
+    let (segments, totals) = plan_components(query, model, config, search, |o| {
+        BushyTree::left_deep(o.rels())
+    })?;
 
-        // Rung 1, bushy edition. Same `AssertUnwindSafe` justification as
-        // the linear driver: on panic the evaluators are discarded and
-        // the RNG state stays usable.
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let mut ev = Evaluator::with_budget(query, model, budget);
-            if let Some(deadline) = config.deadline {
-                ev.set_deadline(deadline);
-            }
-            // Early stopping is linear-only: tree candidates never feed
-            // `ev.best()`, so a stop threshold would never trip.
-            let best = if linear_only {
-                config.runner.run(config.method, &mut ev, comp, &mut rng);
-                ev.best().map(|(o, c)| (BushyTree::left_deep(o.rels()), c))
-            } else {
-                config
-                    .runner
-                    .run_bushy(config.method, &mut ev, comp, &mut rng)
-                    .map(|(p, c)| (BushyTree::from_plan(&p), c))
-            };
-            (best, ev.used(), ev.n_evals(), ev.deadline_expired())
-        }));
-        match attempt {
-            Ok((best, used, evals, deadline_hit)) => {
-                outcome.units_used = used;
-                outcome.n_evals = evals;
-                outcome.deadline_expired = deadline_hit;
-                if let Some((t, cost)) = best {
-                    let mut leaves = t.leaves();
-                    leaves.sort_unstable();
-                    let mut expect = comp.clone();
-                    expect.sort_unstable();
-                    if leaves == expect {
-                        tree = Some((t, cost));
-                    }
-                }
-            }
-            Err(_) => {
-                // The method (or the model under it) panicked; its
-                // evaluator died with it, so its spend is unknown.
-            }
-        }
-
-        // Rungs 2–4: the linear ladder, embedded left-deep. The linear
-        // walk and the tree walk price a left-deep shape identically, so
-        // the rescued order's cost carries over unchanged.
-        if tree.is_none() {
-            component_fallback(query, model, config, comp, &mut outcome);
-            tree = outcome
-                .best
-                .take()
-                .map(|(o, c)| (BushyTree::left_deep(o.rels()), c));
-        }
-
-        units_used += outcome.units_used;
-        n_evals += outcome.n_evals;
-        degradation = degradation.max(outcome.degradation);
-        deadline_expired |= outcome.deadline_expired;
-        let Some((t, cost)) = tree else {
-            return Err(OptError::NoValidPlan { component: idx });
-        };
-        segments.push((t, cost));
-    }
-
-    let (trees, total_cost, segment_costs) = assemble_bushy(query, model, segments);
+    // Cross products last, smallest results first, priced like the
+    // linear driver's assembly.
+    let (trees, total_cost, segment_costs) = assemble_segments(model, segments, |t| {
+        (final_result_size(query, &t.leaves()), t.n_leaves())
+    });
     Ok(BushyOptimized {
         trees,
         cost: total_cost,
         segment_costs,
-        units_used,
-        n_evals,
-        degradation,
-        deadline_expired,
+        units_used: totals.units_used,
+        n_evals: totals.n_evals,
+        degradation: totals.degradation,
+        deadline_expired: totals.deadline_expired,
     })
-}
-
-/// Order the per-component trees (cross products last, smallest results
-/// first) and price the assembled plan — the bushy mirror of the linear
-/// driver's assembly, with `outer_rels` counting the accumulated
-/// relations like the linear convention does.
-fn assemble_bushy(
-    query: &Query,
-    model: &dyn CostModel,
-    mut segments: Vec<(BushyTree, f64)>,
-) -> (Vec<BushyTree>, f64, Vec<f64>) {
-    segments.sort_by(|a, b| {
-        let sa = final_result_size(query, &a.0.leaves());
-        let sb = final_result_size(query, &b.0.leaves());
-        sa.total_cmp(&sb)
-    });
-
-    let total_cost = catch_unwind(AssertUnwindSafe(|| {
-        let mut total: f64 = segments.iter().map(|&(_, c)| c).sum();
-        let mut running = final_result_size(query, &segments[0].0.leaves());
-        for (tree, _) in segments.iter().skip(1) {
-            let inner = final_result_size(query, &tree.leaves());
-            let output = clamp_card(running * inner);
-            total += model.join_cost(&JoinCtx {
-                outer_card: running,
-                inner_card: inner,
-                output_card: output,
-                outer_rels: tree.n_leaves(),
-                is_cross_product: true,
-            });
-            running = output;
-        }
-        sanitize_cost(total)
-    }))
-    .unwrap_or(f64::MAX);
-
-    let segment_costs: Vec<f64> = segments.iter().map(|&(_, c)| c).collect();
-    let trees = segments.into_iter().map(|(t, _)| t).collect();
-    (trees, total_cost, segment_costs)
 }
 
 /// Optimality gap of a bushy search result against the exact bushy DP on

@@ -33,8 +33,8 @@ use ljqo_plan::{random_valid_order, JoinOrder, Plan};
 use crate::error::{Degradation, OptError};
 use crate::methods::{Method, MethodRunner};
 use crate::parallel::{
-    run_portfolio, run_portfolio_robust, run_portfolio_robust_weighted, run_portfolio_weighted,
-    splitmix, ParallelOptions, Parallelism,
+    challenge_with_cardfree, run_portfolio, run_portfolio_weighted, splitmix, ParallelOptions,
+    Parallelism,
 };
 
 /// Configuration for [`optimize`].
@@ -170,20 +170,33 @@ pub struct Optimized {
     pub winner: Option<Method>,
 }
 
-/// What planning one component produced, and how. Shared with the bushy
-/// driver (`crate::bushy_search`), whose fallback ladder is the linear
-/// one.
-pub(crate) struct ComponentOutcome {
-    pub(crate) best: Option<(JoinOrder, f64)>,
+/// Search effort and degradation of planning one component, or summed
+/// over a query's components. Shared with the bushy driver
+/// (`crate::bushy_search`), whose fallback ladder is the linear one.
+#[derive(Default)]
+pub(crate) struct Effort {
     pub(crate) units_used: u64,
     pub(crate) n_evals: u64,
     pub(crate) deadline_expired: bool,
     pub(crate) degradation: Degradation,
 }
 
-/// Plan one join-graph component down the fallback ladder:
+impl Effort {
+    /// Fold one component's effort into these totals.
+    pub(crate) fn add(&mut self, other: &Effort) {
+        self.units_used += other.units_used;
+        self.n_evals += other.n_evals;
+        self.deadline_expired |= other.deadline_expired;
+        self.degradation = self.degradation.max(other.degradation);
+    }
+}
+
+/// Plan every component of `query` down the fallback ladder — the body
+/// both sequential drivers share. Per component, under its budget share
+/// ([`budgeted_components`]):
 ///
-/// 1. the configured method, panic-isolated, under budget + deadline;
+/// 1. `search`, the configured method, panic-isolated, under budget +
+///    deadline; it returns a valid plan of the component or `None`;
 /// 2. the augmentation heuristic (cheap, deterministic), panic-isolated;
 /// 3. the cardinality-free structural order — generation consults no
 ///    statistics so it survives whatever corrupted the rungs above;
@@ -191,68 +204,57 @@ pub(crate) struct ComponentOutcome {
 /// 4. a random valid order — valid by construction, costed on a
 ///    best-effort basis.
 ///
-/// Returns `best: None` only if all four rungs fail.
-fn plan_component(
+/// Rungs 2–4 produce join orders, which `embed` turns into the caller's
+/// plan type. Returns one `(plan, cost)` segment per component and the
+/// summed effort, or the first component that defeats every rung.
+pub(crate) fn plan_components<T>(
     query: &Query,
     model: &dyn CostModel,
     config: &OptimizerConfig,
-    comp: &[RelId],
-    budget: u64,
-    rng: &mut SmallRng,
-) -> ComponentOutcome {
-    let mut outcome = ComponentOutcome {
-        best: None,
-        units_used: 0,
-        n_evals: 0,
-        deadline_expired: false,
-        degradation: Degradation::None,
-    };
-
-    // Rung 1: the configured combinatorial method. `AssertUnwindSafe` is
-    // justified: on panic the evaluator and its walker are discarded, and
-    // the RNG holds plain integers whose state is usable regardless of
-    // where the method stopped.
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let mut ev = Evaluator::with_budget(query, model, budget);
-        if let Some(deadline) = config.deadline {
-            ev.set_deadline(deadline);
-        }
-        if let Some(eps) = config.early_stop {
-            let lb = model.lower_bound(query, comp);
-            if lb > 0.0 {
-                ev.set_stop_threshold(lb * (1.0 + eps));
+    mut search: impl FnMut(&mut Evaluator<'_>, &[RelId], &mut SmallRng) -> Option<(T, f64)>,
+    embed: impl Fn(JoinOrder) -> T,
+) -> Result<(Vec<(T, f64)>, Effort), OptError> {
+    query.validate()?;
+    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let mut segments = Vec::new();
+    let mut totals = Effort::default();
+    for (idx, (comp, budget)) in budgeted_components(query, config).iter().enumerate() {
+        let mut effort = Effort::default();
+        // Rung 1: the configured combinatorial method. `AssertUnwindSafe`
+        // is justified: on panic the evaluator and its walker are
+        // discarded, and the RNG holds plain integers whose state is
+        // usable regardless of where the method stopped.
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            let mut ev = Evaluator::with_budget(query, model, *budget);
+            if let Some(deadline) = config.deadline {
+                ev.set_deadline(deadline);
             }
+            let best = search(&mut ev, comp, &mut rng);
+            (best, ev.used(), ev.n_evals(), ev.deadline_expired())
+        }));
+        // On a panic of the method (or the cost model under it), its
+        // evaluator died with it, so its spend is unknown and reported
+        // as zero.
+        let mut best = None;
+        if let Ok((found, used, evals, deadline_hit)) = attempt {
+            effort.units_used = used;
+            effort.n_evals = evals;
+            effort.deadline_expired = deadline_hit;
+            best = found;
         }
-        config.runner.run(config.method, &mut ev, comp, rng);
-        let best = ev.best().map(|(o, c)| (o.clone(), c));
-        (best, ev.used(), ev.n_evals(), ev.deadline_expired())
-    }));
-    match attempt {
-        Ok((best, used, evals, deadline_hit)) => {
-            outcome.units_used = used;
-            outcome.n_evals = evals;
-            outcome.deadline_expired = deadline_hit;
-            if let Some((order, cost)) = best {
-                if is_valid(query.graph(), order.rels()) {
-                    outcome.best = Some((order, cost));
-                    return outcome;
-                }
-            }
+        if best.is_none() {
+            best = component_fallback(query, model, config, comp, &mut effort)
+                .map(|(order, cost)| (embed(order), cost));
         }
-        Err(_) => {
-            // The method (or the cost model under it) panicked; its
-            // evaluator died with it, so its spend is unknown and
-            // reported as zero.
-        }
+        totals.add(&effort);
+        segments.push(best.ok_or(OptError::NoValidPlan { component: idx })?);
     }
-
-    component_fallback(query, model, config, comp, &mut outcome);
-    outcome
+    Ok((segments, totals))
 }
 
 /// Rungs 2–4 of the fallback ladder (augmentation heuristic, structural
-/// order, then a random valid order), shared by the sequential and
-/// parallel drivers. Accumulates into `outcome` and stamps the
+/// order, then a random valid order), shared by every driver. Returns the
+/// rescued order, accumulating its spend into `effort` and stamping the
 /// degradation level reached.
 ///
 /// The random rung derives its RNG from `config.seed` and the
@@ -265,11 +267,11 @@ pub(crate) fn component_fallback(
     model: &dyn CostModel,
     config: &OptimizerConfig,
     comp: &[RelId],
-    outcome: &mut ComponentOutcome,
-) {
+    effort: &mut Effort,
+) -> Option<(JoinOrder, f64)> {
     // Rung 2: the augmentation heuristic. Panic-isolated too — it reads
     // the same catalog statistics that may have upset the method.
-    outcome.degradation = Degradation::Heuristic;
+    effort.degradation = Degradation::Heuristic;
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         let first = AugmentationHeuristic::first_relations(query, comp)[0];
         let order = config.runner.augmentation.generate(query, comp, first);
@@ -278,10 +280,9 @@ pub(crate) fn component_fallback(
     }));
     if let Ok((order, cost)) = attempt {
         if is_valid(query.graph(), order.rels()) {
-            outcome.units_used += comp.len() as u64 + 1;
-            outcome.n_evals += 1;
-            outcome.best = Some((order, cost));
-            return;
+            effort.units_used += comp.len() as u64 + 1;
+            effort.n_evals += 1;
+            return Some((order, cost));
         }
     }
 
@@ -291,7 +292,7 @@ pub(crate) fn component_fallback(
     // cannot price the order, it ships with cost MAX rather than being
     // discarded (a deterministic structural plan still beats a random
     // one).
-    outcome.degradation = Degradation::CardFree;
+    effort.degradation = Degradation::CardFree;
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         CardFreeHeuristic.generate(query.graph(), comp)
     }));
@@ -301,17 +302,16 @@ pub(crate) fn component_fallback(
                 sanitize_cost(model.order_cost(query, order.rels()))
             }))
             .unwrap_or(f64::MAX);
-            outcome.units_used += comp.len() as u64 + 1;
-            outcome.n_evals += 1;
-            outcome.best = Some((order, cost));
-            return;
+            effort.units_used += comp.len() as u64 + 1;
+            effort.n_evals += 1;
+            return Some((order, cost));
         }
     }
 
     // Rung 4: a random valid order, from a fresh RNG seeded by
     // `config.seed` and the component identity (reproducible regardless
     // of how much entropy the method consumed before failing).
-    outcome.degradation = Degradation::RandomOrder;
+    effort.degradation = Degradation::RandomOrder;
     let comp_id = comp.first().map(|r| r.0 as u64).unwrap_or(0);
     let mut fallback_rng = SmallRng::seed_from_u64(splitmix(config.seed ^ 0xFA11_BACC ^ comp_id));
     let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -323,11 +323,12 @@ pub(crate) fn component_fallback(
                 sanitize_cost(model.order_cost(query, order.rels()))
             }))
             .unwrap_or(f64::MAX);
-            outcome.units_used += 1;
-            outcome.n_evals += 1;
-            outcome.best = Some((order, cost));
+            effort.units_used += 1;
+            effort.n_evals += 1;
+            return Some((order, cost));
         }
     }
+    None
 }
 
 /// Optimize `query` under `model` with the given configuration,
@@ -359,58 +360,62 @@ pub fn try_optimize(
     model: &dyn CostModel,
     config: &OptimizerConfig,
 ) -> Result<Optimized, OptError> {
-    query.validate()?;
-    let components = query.graph().components();
-    let n = query.n_joins().max(1);
-    let total_budget = config.budget_units(n);
-
-    let weight_sum: u64 = components
-        .iter()
-        .map(|c| (c.len() * c.len()) as u64)
-        .sum::<u64>()
-        .max(1);
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-
-    let mut segments: Vec<(JoinOrder, f64)> = Vec::with_capacity(components.len());
-    let mut units_used = 0;
-    let mut n_evals = 0;
-    let mut degradation = Degradation::None;
-    let mut deadline_expired = false;
-    for (idx, comp) in components.iter().enumerate() {
-        let share = total_budget.saturating_mul((comp.len() * comp.len()) as u64) / weight_sum;
-        let budget = share.max(4 * comp.len() as u64);
-        let outcome = plan_component(query, model, config, comp, budget, &mut rng);
-        units_used += outcome.units_used;
-        n_evals += outcome.n_evals;
-        degradation = degradation.max(outcome.degradation);
-        deadline_expired |= outcome.deadline_expired;
-        let Some((order, cost)) = outcome.best else {
-            return Err(OptError::NoValidPlan { component: idx });
-        };
-        segments.push((order, cost));
-    }
-
+    let search = |ev: &mut Evaluator<'_>, comp: &[RelId], rng: &mut SmallRng| {
+        if let Some(eps) = config.early_stop {
+            let lb = model.lower_bound(query, comp);
+            if lb > 0.0 {
+                ev.set_stop_threshold(lb * (1.0 + eps));
+            }
+        }
+        config.runner.run(config.method, ev, comp, rng);
+        ev.best()
+            .filter(|(order, _)| is_valid(query.graph(), order.rels()))
+            .map(|(order, cost)| (order.clone(), cost))
+    };
+    let (segments, totals) = plan_components(query, model, config, search, |o| o)?;
     let (plan, total_cost, segment_costs) = assemble_plan(query, model, segments);
     Ok(Optimized {
         plan,
         cost: total_cost,
         segment_costs,
-        units_used,
-        n_evals,
-        degradation,
-        deadline_expired,
+        units_used: totals.units_used,
+        n_evals: totals.n_evals,
+        degradation: totals.degradation,
+        deadline_expired: totals.deadline_expired,
         workers_failed: 0,
         winner: None,
     })
 }
 
+/// The query's join-graph components, each with its share of the
+/// configured budget: the total split by squared component size, with a
+/// floor of four units per relation. The sequential, parallel and bushy
+/// drivers all budget through this, so their runs at one configuration
+/// are directly comparable.
+pub(crate) fn budgeted_components(
+    query: &Query,
+    config: &OptimizerConfig,
+) -> Vec<(Vec<RelId>, u64)> {
+    let components = query.graph().components();
+    let total_budget = config.budget_units(query.n_joins().max(1));
+    let weight_sum: u64 = components
+        .iter()
+        .map(|c| (c.len() * c.len()) as u64)
+        .sum::<u64>()
+        .max(1);
+    components
+        .into_iter()
+        .map(|comp| {
+            let share = total_budget.saturating_mul((comp.len() * comp.len()) as u64) / weight_sum;
+            let budget = share.max(4 * comp.len() as u64);
+            (comp, budget)
+        })
+        .collect()
+}
+
 /// Order the per-component segments (cross products last, smallest
 /// component results first so the running outer operand stays as small as
 /// possible) and price the assembled plan, cross products included.
-///
-/// The model is consulted once more here, so this is panic-isolated: a
-/// plan whose segments were rescued by the fallback ladder must not be
-/// lost to one last model fault while pricing the cross products.
 ///
 /// Returns the plan, its total cost, and the per-segment costs in the
 /// plan's (sorted) segment order. Assembly is a pure function of the
@@ -420,25 +425,44 @@ pub fn try_optimize(
 pub(crate) fn assemble_plan(
     query: &Query,
     model: &dyn CostModel,
-    mut segments: Vec<(JoinOrder, f64)>,
+    segments: Vec<(JoinOrder, f64)>,
 ) -> (Plan, f64, Vec<f64>) {
-    segments.sort_by(|a, b| {
-        let sa = final_result_size(query, a.0.rels());
-        let sb = final_result_size(query, b.0.rels());
-        sa.total_cmp(&sb)
+    let (segments, total_cost, segment_costs) = assemble_segments(model, segments, |o| {
+        (final_result_size(query, o.rels()), o.len())
     });
+    (Plan { segments }, total_cost, segment_costs)
+}
+
+/// Sort `(plan, cost)` segments of any search space for assembly and
+/// price the assembled plan: the segment costs plus one cross product per
+/// later segment. `size` gives a segment's estimated result cardinality
+/// and relation count; the running outer operand's relation count follows
+/// the linear convention (`outer_rels` = the inner segment's relations).
+///
+/// The model is consulted once more here, so this is panic-isolated: a
+/// plan whose segments were rescued by the fallback ladder must not be
+/// lost to one last model fault while pricing the cross products.
+pub(crate) fn assemble_segments<T>(
+    model: &dyn CostModel,
+    segments: Vec<(T, f64)>,
+    size: impl Fn(&T) -> (f64, usize),
+) -> (Vec<T>, f64, Vec<f64>) {
+    let mut sized: Vec<_> = segments
+        .into_iter()
+        .map(|(plan, cost)| (size(&plan), plan, cost))
+        .collect();
+    sized.sort_by(|((a, _), ..), ((b, _), ..)| a.total_cmp(b));
 
     let total_cost = catch_unwind(AssertUnwindSafe(|| {
-        let mut total: f64 = segments.iter().map(|&(_, c)| c).sum();
-        let mut running = final_result_size(query, segments[0].0.rels());
-        for (order, _) in segments.iter().skip(1) {
-            let inner = final_result_size(query, order.rels());
+        let mut total: f64 = sized.iter().map(|(_, _, cost)| cost).sum();
+        let ((mut running, _), _, _) = sized[0];
+        for &((inner, n_rels), _, _) in sized.iter().skip(1) {
             let output = clamp_card(running * inner);
             total += model.join_cost(&JoinCtx {
                 outer_card: running,
                 inner_card: inner,
                 output_card: output,
-                outer_rels: order.len(),
+                outer_rels: n_rels,
                 is_cross_product: true,
             });
             running = output;
@@ -447,11 +471,9 @@ pub(crate) fn assemble_plan(
     }))
     .unwrap_or(f64::MAX);
 
-    let segment_costs: Vec<f64> = segments.iter().map(|&(_, c)| c).collect();
-    let plan = Plan {
-        segments: segments.into_iter().map(|(o, _)| o).collect(),
-    };
-    (plan, total_cost, segment_costs)
+    let segment_costs = sized.iter().map(|&(_, _, cost)| cost).collect();
+    let plans = sized.into_iter().map(|(_, plan, _)| plan).collect();
+    (plans, total_cost, segment_costs)
 }
 
 /// [`try_optimize`], with each component searched by a parallel worker
@@ -483,15 +505,7 @@ pub fn try_optimize_parallel(
     parallelism: &Parallelism,
 ) -> Result<Optimized, OptError> {
     query.validate()?;
-    let components = query.graph().components();
-    let n = query.n_joins().max(1);
-    let total_budget = config.budget_units(n);
-
-    let weight_sum: u64 = components
-        .iter()
-        .map(|c| (c.len() * c.len()) as u64)
-        .sum::<u64>()
-        .max(1);
+    let components = budgeted_components(query, config);
     let methods: &[Method] = if parallelism.methods.is_empty() {
         std::slice::from_ref(&config.method)
     } else {
@@ -506,15 +520,10 @@ pub fn try_optimize_parallel(
         .map(|r| (r, ljqo_cache::classify(query)));
 
     let mut segments: Vec<(JoinOrder, f64)> = Vec::with_capacity(components.len());
-    let mut units_used = 0;
-    let mut n_evals = 0;
-    let mut degradation = Degradation::None;
-    let mut deadline_expired = false;
+    let mut totals = Effort::default();
     let mut workers_failed = 0;
     let mut winner: Option<(usize, Method)> = None;
-    for (idx, comp) in components.iter().enumerate() {
-        let share = total_budget.saturating_mul((comp.len() * comp.len()) as u64) / weight_sum;
-        let budget = share.max(4 * comp.len() as u64);
+    for (idx, (comp, budget)) in components.iter().enumerate() {
         // Singleton components have exactly one (trivial) plan; spawning
         // a worker pool for them would spend `workers` units on clones of
         // the same evaluation.
@@ -523,7 +532,7 @@ pub fn try_optimize_parallel(
         } else {
             parallelism.workers.max(1)
         };
-        let mut opts = ParallelOptions::new(budget, workers, config.seed ^ splitmix(idx as u64))
+        let mut opts = ParallelOptions::new(*budget, workers, config.seed ^ splitmix(idx as u64))
             .with_cooperation(parallelism.cooperation);
         if let Some(deadline) = config.deadline {
             opts = opts.with_deadline(deadline);
@@ -541,24 +550,18 @@ pub fn try_optimize_parallel(
             .as_ref()
             .filter(|_| workers > 1)
             .map(|(r, class)| r.shares(class));
-        let parallel = match (&shares, parallelism.structural_backstop) {
-            (Some(w), true) => {
-                run_portfolio_robust_weighted(query, model, &config.runner, methods, comp, &opts, w)
-            }
-            (Some(w), false) => {
+        let mut parallel = match &shares {
+            Some(w) => {
                 run_portfolio_weighted(query, model, &config.runner, methods, comp, &opts, w)
             }
-            (None, true) => {
-                run_portfolio_robust(query, model, &config.runner, methods, comp, &opts)
-            }
-            (None, false) => run_portfolio(query, model, &config.runner, methods, comp, &opts),
+            None => run_portfolio(query, model, &config.runner, methods, comp, &opts),
         };
-        let outcome = match parallel {
+        if parallelism.structural_backstop {
+            parallel = challenge_with_cardfree(query, model, comp, parallel);
+        }
+        let (best, effort) = match parallel {
             Some(r) if is_valid(query.graph(), r.order.rels()) => {
                 workers_failed += r.workers_failed;
-                if r.deadline_expired {
-                    deadline_expired = true;
-                }
                 if methods.len() > 1 && comp.len() > 1 {
                     // Remember the portfolio winner of the largest
                     // routed component for `Optimized::winner`.
@@ -570,13 +573,13 @@ pub fn try_optimize_parallel(
                         record_portfolio_outcome(router, class, methods, &r);
                     }
                 }
-                ComponentOutcome {
-                    best: Some((r.order, r.cost)),
+                let effort = Effort {
                     units_used: r.units_used,
                     n_evals: r.n_evals,
-                    deadline_expired: false,
-                    degradation: Degradation::None,
-                }
+                    deadline_expired: r.deadline_expired,
+                    ..Effort::default()
+                };
+                (Some((r.order, r.cost)), effort)
             }
             other => {
                 // Every worker panicked or the budget bought no state at
@@ -584,25 +587,13 @@ pub fn try_optimize_parallel(
                 if let Some(r) = other {
                     workers_failed += r.workers_failed;
                 }
-                let mut outcome = ComponentOutcome {
-                    best: None,
-                    units_used: 0,
-                    n_evals: 0,
-                    deadline_expired: false,
-                    degradation: Degradation::None,
-                };
-                component_fallback(query, model, config, comp, &mut outcome);
-                outcome
+                let mut effort = Effort::default();
+                let rescue = component_fallback(query, model, config, comp, &mut effort);
+                (rescue, effort)
             }
         };
-        units_used += outcome.units_used;
-        n_evals += outcome.n_evals;
-        degradation = degradation.max(outcome.degradation);
-        deadline_expired |= outcome.deadline_expired;
-        let Some((order, cost)) = outcome.best else {
-            return Err(OptError::NoValidPlan { component: idx });
-        };
-        segments.push((order, cost));
+        totals.add(&effort);
+        segments.push(best.ok_or(OptError::NoValidPlan { component: idx })?);
     }
 
     let (plan, total_cost, segment_costs) = assemble_plan(query, model, segments);
@@ -610,10 +601,10 @@ pub fn try_optimize_parallel(
         plan,
         cost: total_cost,
         segment_costs,
-        units_used,
-        n_evals,
-        degradation,
-        deadline_expired,
+        units_used: totals.units_used,
+        n_evals: totals.n_evals,
+        degradation: totals.degradation,
+        deadline_expired: totals.deadline_expired,
         workers_failed,
         winner: winner.map(|(_, m)| m),
     })

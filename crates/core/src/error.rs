@@ -93,9 +93,10 @@ impl From<CatalogError> for OptError {
 
 /// How far down the fallback ladder the driver had to go for the worst
 /// component. Ordered: a later variant is a deeper degradation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Degradation {
     /// The configured method produced the plan normally.
+    #[default]
     None,
     /// The method panicked, ran out of wall-clock before evaluating any
     /// state, or produced no state; the augmentation heuristic supplied

@@ -6,9 +6,9 @@
 //! at `N = 100`, a state is *declared* a local minimum after a configurable
 //! number of consecutive non-improving sampled moves (SG88's sampling
 //! criterion). The surrounding method repeats runs from fresh start states
-//! and keeps the best local minimum — which the budgeted
-//! [`Evaluator`](ljqo_cost::Evaluator) tracks automatically, since within a
-//! run the accepted states decrease monotonically.
+//! and keeps the best local minimum — which the search state tracks (see
+//! [`crate::search`]), since within a run the accepted states decrease
+//! monotonically. The same loop searches join orders and bushy trees.
 
 use rand::Rng;
 
@@ -16,31 +16,18 @@ use ljqo_catalog::RelId;
 use ljqo_cost::Evaluator;
 use ljqo_plan::{random_valid_order, JoinOrder, MoveGenerator, MoveSet};
 
-use crate::movepath::MovePath;
+use crate::search::{OrderState, SearchState};
 
 /// Iterative improvement parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterativeImprovement {
-    /// Move-set composition used to sample adjacent states.
+    /// Move-set composition used to sample adjacent join orders (bushy
+    /// runs sample [`MethodRunner::tree_moves`](crate::MethodRunner::tree_moves)).
     pub move_set: MoveSet,
     /// Local-minimum declaration threshold, as a fraction of `n²`: a run
     /// ends after `max(32, fail_factor·n²)` consecutive failed moves.
     /// Larger values descend deeper but finish fewer runs per budget.
     pub fail_factor: f64,
-    /// Escape hatch: force from-scratch evaluation of every candidate
-    /// instead of the incremental (delta) path. The two agree to within
-    /// floating-point re-association noise (asserted in debug builds);
-    /// this flag exists for A/B measurement and for distrusting the
-    /// delta path in the field. Models with
-    /// [`supports_incremental`](ljqo_cost::CostModel::supports_incremental)
-    /// `() == false` always take the full path regardless.
-    pub full_eval: bool,
-    /// Filter move proposals with the compiled windowed bitset checker
-    /// ([`MoveGenerator::with_compiled`]) instead of full validity scans.
-    /// The two filters accept exactly the same proposals (asserted in
-    /// debug builds and by the differential property suite), so this flag
-    /// changes throughput only; it exists for A/B measurement.
-    pub compiled_moves: bool,
 }
 
 impl Default for IterativeImprovement {
@@ -48,8 +35,6 @@ impl Default for IterativeImprovement {
         IterativeImprovement {
             move_set: MoveSet::default(),
             fail_factor: 0.25,
-            full_eval: false,
-            compiled_moves: true,
         }
     }
 }
@@ -61,42 +46,33 @@ impl IterativeImprovement {
         by_factor.max(32)
     }
 
-    /// One greedy descent from (and mutating) `order`. Returns the cost of
-    /// the local minimum reached (or of the last state when the budget ran
-    /// out first).
-    ///
-    /// Candidates are costed through the incremental (delta) path unless
-    /// [`IterativeImprovement::full_eval`] is set or the model opts out;
-    /// budget charges are identical either way (one unit per candidate).
-    pub fn descend<R: Rng + ?Sized>(
+    /// One greedy descent of `state` from `start` (charged one unit).
+    /// Returns the cost of the local minimum reached (or of the last
+    /// state when the budget ran out first).
+    pub(crate) fn descend<'a, S: SearchState<'a>, R: Rng + ?Sized>(
         &self,
-        ev: &mut Evaluator<'_>,
-        gen: &mut MoveGenerator,
-        order: &mut JoinOrder,
+        ev: &mut Evaluator<'a>,
+        state: &mut S,
+        start: JoinOrder,
         rng: &mut R,
     ) -> f64 {
-        // The caller hands us an arbitrary start state; any windowed
-        // validity cache inside the generator refers to the previous one.
-        gen.reset();
-        let start = std::mem::replace(order, JoinOrder::new(Vec::new()));
-        let (mut path, mut current) = MovePath::begin(ev, start, self.full_eval);
-        let fail_limit = self.fail_limit(path.order().len());
+        let fail_limit = self.fail_limit(start.len());
+        let mut current = state.start(ev, start);
         let mut fails = 0u64;
-        let graph = ev.query().graph();
         while fails < fail_limit && !ev.exhausted() {
-            let Some((mv, attempts)) = gen.propose_counted(graph, path.order_mut(), rng) else {
+            let Some(attempts) = state.propose(rng) else {
                 break; // no perturbable neighborhood (tiny component)
             };
             // Rejected proposals each performed an O(N) validity check;
             // charge them like the paper's wall clock would.
             ev.charge(u64::from(attempts) - 1);
-            let candidate = path.cost_applied(ev, &mv);
+            let candidate = state.cost_pending(ev);
             if candidate < current {
-                path.accept();
+                state.commit();
                 current = candidate;
                 fails = 0;
             } else {
-                path.reject(&mv);
+                state.rollback();
                 // Every sampled perturbation that failed to improve —
                 // including the validity-rejected ones — counts toward
                 // declaring a local minimum, mirroring the sampled
@@ -104,33 +80,52 @@ impl IterativeImprovement {
                 fails += u64::from(attempts);
             }
         }
-        *order = path.into_order();
         current
     }
 
-    /// The full II method: repeated descents from random valid start
-    /// states until the budget is exhausted. The best local minimum is
-    /// tracked by the evaluator.
-    pub fn run<R: Rng + ?Sized>(&self, ev: &mut Evaluator<'_>, component: &[RelId], rng: &mut R) {
-        let mut gen = if self.compiled_moves {
-            MoveGenerator::with_compiled(ev.compiled().clone(), self.move_set)
-        } else {
-            MoveGenerator::new(ev.query().n_relations(), self.move_set)
-        };
+    /// The full II method: repeated descents of `state` from random valid
+    /// start states until the budget is exhausted. The best local minimum
+    /// is the state's best.
+    pub(crate) fn run<'a, S: SearchState<'a>, R: Rng + ?Sized>(
+        &self,
+        ev: &mut Evaluator<'a>,
+        state: &mut S,
+        component: &[RelId],
+        rng: &mut R,
+    ) {
         while !ev.exhausted() {
-            let mut order = random_valid_order(ev.query().graph(), component, rng);
-            self.descend(ev, &mut gen, &mut order, rng);
+            let start = random_valid_order(ev.query().graph(), component, rng);
+            self.descend(ev, state, start, rng);
             if component.len() < 3 {
                 // Nothing more to explore: at most two states exist.
                 break;
             }
         }
     }
+
+    /// The II method over join orders with a caller-built move
+    /// generator, tracked by the evaluator like
+    /// [`MethodRunner::run`](crate::MethodRunner::run) with [`Method::Ii`](crate::Method::Ii),
+    /// which uses the compiled generator
+    /// ([`MoveGenerator::with_compiled`]). Benchmarks hand in the
+    /// full-scan reference filter ([`MoveGenerator::new`]) to measure
+    /// what the compiled one saves; both propose the same moves.
+    pub fn run_with_generator<R: Rng + ?Sized>(
+        &self,
+        ev: &mut Evaluator<'_>,
+        gen: MoveGenerator,
+        component: &[RelId],
+        rng: &mut R,
+    ) {
+        let mut state = OrderState::with_generator(ev, gen);
+        self.run(ev, &mut state, component, rng);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::TreeState;
     use ljqo_catalog::{Query, QueryBuilder};
     use ljqo_cost::MemoryCostModel;
     use ljqo_plan::validity::is_valid;
@@ -161,15 +156,56 @@ mod tests {
         let mut ev = Evaluator::new(&q, &model);
         let mut rng = SmallRng::seed_from_u64(5);
         let comp: Vec<RelId> = q.rel_ids().collect();
-        let mut order = random_valid_order(q.graph(), &comp, &mut rng);
+        let order = random_valid_order(q.graph(), &comp, &mut rng);
         let start_cost = ev.cost_uncharged(&order);
         let ii = IterativeImprovement::default();
-        let mut gen = MoveGenerator::new(q.n_relations(), ii.move_set);
-        let end_cost = ii.descend(&mut ev, &mut gen, &mut order, &mut rng);
+        let mut state = OrderState::new(&ev, ii.move_set);
+        let end_cost = ii.descend(&mut ev, &mut state, order, &mut rng);
         assert!(end_cost <= start_cost);
-        assert!(is_valid(q.graph(), order.rels()));
         // The descent's final state is the evaluator's best state.
-        assert_eq!(ev.best().unwrap().1, end_cost);
+        let (best, best_cost) = ev.best().unwrap();
+        assert!(is_valid(q.graph(), best.rels()));
+        assert_eq!(best_cost, end_cost);
+    }
+
+    #[test]
+    fn tree_descend_is_monotone_and_ends_at_the_best_tree() {
+        let q = chain_query();
+        let model = MemoryCostModel::default();
+        let mut ev = Evaluator::new(&q, &model);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let comp: Vec<RelId> = q.rel_ids().collect();
+        let order = random_valid_order(q.graph(), &comp, &mut rng);
+        let start_cost = ev.cost_uncharged(&order);
+        let mut state = TreeState::new(&ev, ljqo_plan::TreeMoveSet::default());
+        let end_cost =
+            IterativeImprovement::default().descend(&mut ev, &mut state, order, &mut rng);
+        // A left-deep start prices like its order, and a descent only
+        // accepts improvements, so it ends at the best tree it visited.
+        assert!(end_cost <= start_cost);
+        let (best, best_cost) = state.into_best().unwrap();
+        assert_eq!(best_cost, end_cost);
+        assert!(best.audit(ev.compiled()).is_ok());
+        // Tree candidates are charged but never feed the order channel.
+        assert!(ev.best().is_none());
+        assert!(ev.n_evals() > 1 && ev.used() >= ev.n_evals());
+    }
+
+    #[test]
+    fn tree_start_alone_is_the_best_tree_when_the_budget_ends_there() {
+        let q = chain_query();
+        let model = MemoryCostModel::default();
+        let mut ev = Evaluator::with_budget(&q, &model, 1);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let comp: Vec<RelId> = q.rel_ids().collect();
+        let order = random_valid_order(q.graph(), &comp, &mut rng);
+        let start_cost = ev.cost_uncharged(&order);
+        let mut state = TreeState::new(&ev, ljqo_plan::TreeMoveSet::default());
+        let end_cost =
+            IterativeImprovement::default().descend(&mut ev, &mut state, order, &mut rng);
+        assert_eq!((ev.used(), ev.n_evals()), (1, 1));
+        assert_eq!(end_cost, start_cost);
+        assert_eq!(state.into_best().map(|(_, cost)| cost), Some(start_cost));
     }
 
     #[test]
@@ -179,7 +215,9 @@ mod tests {
         let mut ev = Evaluator::with_budget(&q, &model, 3_000);
         let mut rng = SmallRng::seed_from_u64(17);
         let comp: Vec<RelId> = q.rel_ids().collect();
-        IterativeImprovement::default().run(&mut ev, &comp, &mut rng);
+        let ii = IterativeImprovement::default();
+        let mut state = OrderState::new(&ev, ii.move_set);
+        ii.run(&mut ev, &mut state, &comp, &mut rng);
         assert!(ev.exhausted());
         let (best, cost) = ev.best().unwrap();
         assert_eq!(best.len(), 6);
@@ -212,7 +250,9 @@ mod tests {
         let mut ev = Evaluator::with_budget(&q, &model, 10_000);
         let mut rng = SmallRng::seed_from_u64(2);
         let comp: Vec<RelId> = q.rel_ids().collect();
-        IterativeImprovement::default().run(&mut ev, &comp, &mut rng);
+        let ii = IterativeImprovement::default();
+        let mut state = OrderState::new(&ev, ii.move_set);
+        ii.run(&mut ev, &mut state, &comp, &mut rng);
         // Must not spin forever nor necessarily exhaust the budget.
         assert!(ev.best().is_some());
     }

@@ -9,9 +9,10 @@
 //! ## The pieces
 //!
 //! * [`IterativeImprovement`] — repeated greedy descents from random valid
-//!   start states (SG88's best general technique).
+//!   start states (SG88's best general technique), over join orders or
+//!   bushy trees alike.
 //! * [`SimulatedAnnealing`] — the Johnson et al. flavored annealer SG88
-//!   found second-best.
+//!   found second-best, over either space.
 //! * Heuristics (re-exported from `ljqo-heuristics`): augmentation, KBZ,
 //!   and local improvement.
 //! * [`Method`] — the paper's nine combinations: **II**, **SA**, **SAA**,
@@ -31,9 +32,9 @@
 //!   left-deep trees, feasible only for small `N`; used as a test oracle
 //!   and a baseline.
 //! * [`bushy`] / [`bushy_search`] — the paper's open problem attacked
-//!   head-on: exact bushy DP for small components, and II/SA local search
-//!   over arena-backed bushy trees ([`try_optimize_bushy`]) for large
-//!   ones, with path-to-root incremental re-costing.
+//!   head-on: exact bushy DP for small components, and the same II/SA
+//!   loops over arena-backed bushy trees ([`try_optimize_bushy`]) for
+//!   large ones, with path-to-root incremental re-costing.
 //! * [`eval`] — the paper's scaled-cost statistics (outlying values coerced
 //!   to 10).
 //!
@@ -72,19 +73,16 @@ mod error;
 pub mod eval;
 mod ii;
 mod methods;
-mod movepath;
 pub mod parallel;
 pub mod prelude;
 pub mod robust;
 mod sa;
 mod sampling;
+mod search;
 pub mod serving;
 pub mod trace;
 
-pub use bushy_search::{
-    bushy_gap_vs_dp, bushy_tree_cost, try_optimize_bushy, BushyIterativeImprovement,
-    BushyOptimized, BushySimulatedAnnealing,
-};
+pub use bushy_search::{bushy_gap_vs_dp, bushy_tree_cost, try_optimize_bushy, BushyOptimized};
 pub use cached::{
     optimize_batch_cached, optimize_batch_cached_routed, optimize_cached, optimize_cached_parallel,
     CacheOutcome,

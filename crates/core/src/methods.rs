@@ -5,10 +5,11 @@ use rand::Rng;
 use ljqo_catalog::RelId;
 use ljqo_cost::Evaluator;
 use ljqo_heuristics::{AugmentationHeuristic, CardFreeHeuristic, KbzHeuristic, LocalImprovement};
-use ljqo_plan::{random_valid_order, MoveGenerator};
+use ljqo_plan::TreeMoveSet;
 
 use crate::ii::IterativeImprovement;
 use crate::sa::SimulatedAnnealing;
+use crate::search::OrderState;
 
 /// The methods compared in the paper's Figure 4 (and the five survivors
 /// compared in Figures 5–7 and Table 3).
@@ -114,13 +115,14 @@ impl std::fmt::Display for Method {
 
 /// Shared configuration for running any [`Method`] on one component.
 ///
-/// The best state found is tracked by the [`Evaluator`]; a runner mutates
-/// no state of its own and can be reused across queries and methods.
+/// The best join order found is tracked by the [`Evaluator`]; a runner
+/// mutates no state of its own and can be reused across queries and
+/// methods.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MethodRunner {
-    /// Iterative improvement parameters.
+    /// Iterative improvement parameters (both search spaces).
     pub ii: IterativeImprovement,
-    /// Simulated annealing parameters.
+    /// Simulated annealing parameters (both search spaces).
     pub sa: SimulatedAnnealing,
     /// Augmentation heuristic (criterion 3 by default, the Table 1
     /// winner).
@@ -128,11 +130,9 @@ pub struct MethodRunner {
     /// KBZ heuristic (selectivity MST weights by default, the Table 2
     /// winner).
     pub kbz: KbzHeuristic,
-    /// Bushy iterative improvement parameters (used by the bushy-space
-    /// drivers; see [`MethodRunner::run_bushy`]).
-    pub bushy_ii: crate::bushy_search::BushyIterativeImprovement,
-    /// Bushy simulated annealing parameters.
-    pub bushy_sa: crate::bushy_search::BushySimulatedAnnealing,
+    /// Tree-move mixture for the bushy-space searches (see
+    /// [`MethodRunner::run_bushy`]).
+    pub tree_moves: TreeMoveSet,
 }
 
 impl MethodRunner {
@@ -151,58 +151,44 @@ impl MethodRunner {
             return;
         }
         match method {
-            Method::Ii => self.ii.run(ev, component, rng),
-            Method::Sa => self.sa.run(ev, component, rng),
+            Method::Ii | Method::BushyIi => {
+                let mut state = OrderState::new(ev, self.ii.move_set);
+                self.ii.run(ev, &mut state, component, rng);
+            }
+            Method::Sa | Method::BushySa => {
+                let mut state = OrderState::new(ev, self.sa.move_set);
+                self.sa.run(ev, &mut state, component, rng);
+            }
             Method::Saa => {
                 // One augmentation state (smallest first relation) seeds SA.
                 let firsts = AugmentationHeuristic::first_relations(ev.query(), component);
                 ev.charge(component.len() as u64);
                 let start = self.augmentation.generate(ev.query(), component, firsts[0]);
-                self.sa.anneal(ev, start, rng);
+                let mut state = OrderState::new(ev, self.sa.move_set);
+                self.sa.anneal(ev, &mut state, start, rng);
             }
             Method::Sak => {
+                let mut state = OrderState::new(ev, self.sa.move_set);
                 match self.kbz.generate(ev, component) {
-                    Some(start) => self.sa.anneal(ev, start, rng),
+                    Some(start) => self.sa.anneal(ev, &mut state, start, rng),
                     // KBZ never completed a root within budget; fall back
                     // to a random start for the (tiny) remaining budget.
-                    None => self.sa.run(ev, component, rng),
+                    None => self.sa.run(ev, &mut state, component, rng),
                 }
             }
-            Method::Iai => {
-                let mut gen = MoveGenerator::new(ev.query().n_relations(), self.ii.move_set);
+            Method::Iai | Method::Ial => {
+                let mut state = OrderState::new(ev, self.ii.move_set);
                 for first in AugmentationHeuristic::first_relations(ev.query(), component) {
                     if ev.exhausted() {
                         return;
                     }
                     ev.charge(component.len() as u64);
-                    let mut order = self.augmentation.generate(ev.query(), component, first);
-                    self.ii.descend(ev, &mut gen, &mut order, rng);
+                    let start = self.augmentation.generate(ev.query(), component, first);
+                    self.ii.descend(ev, &mut state, start, rng);
                 }
-                self.ii.run(ev, component, rng);
-            }
-            Method::Iki => {
-                let mut gen = MoveGenerator::new(ev.query().n_relations(), self.ii.move_set);
-                for mut order in self.kbz.generate_all_roots(ev, component) {
-                    if ev.exhausted() {
-                        return;
-                    }
-                    self.ii.descend(ev, &mut gen, &mut order, rng);
-                }
-                self.ii.run(ev, component, rng);
-            }
-            Method::Ial => {
-                let mut gen = MoveGenerator::new(ev.query().n_relations(), self.ii.move_set);
-                for first in AugmentationHeuristic::first_relations(ev.query(), component) {
-                    if ev.exhausted() {
-                        return;
-                    }
-                    ev.charge(component.len() as u64);
-                    let mut order = self.augmentation.generate(ev.query(), component, first);
-                    self.ii.descend(ev, &mut gen, &mut order, rng);
-                }
-                // Local improvement on the best of the local minima, with
-                // the ladder strategy the remaining budget affords.
-                while !ev.exhausted() {
+                // IAL: local improvement on the best of the local minima,
+                // with the ladder strategy the remaining budget affords.
+                while method == Method::Ial && !ev.exhausted() {
                     let Some((best, best_cost)) = ev.best() else {
                         break;
                     };
@@ -218,7 +204,17 @@ impl MethodRunner {
                     }
                 }
                 // Any leftover budget goes to further II runs.
-                self.ii.run(ev, component, rng);
+                self.ii.run(ev, &mut state, component, rng);
+            }
+            Method::Iki => {
+                let mut state = OrderState::new(ev, self.ii.move_set);
+                for start in self.kbz.generate_all_roots(ev, component) {
+                    if ev.exhausted() {
+                        return;
+                    }
+                    self.ii.descend(ev, &mut state, start, rng);
+                }
+                self.ii.run(ev, &mut state, component, rng);
             }
             Method::Agi => {
                 // All augmentation states first, evaluated but NOT
@@ -232,11 +228,13 @@ impl MethodRunner {
                     ev.cost(&order);
                 }
                 // ...then plain II from random states.
-                self.ii.run(ev, component, rng);
+                let mut state = OrderState::new(ev, self.ii.move_set);
+                self.ii.run(ev, &mut state, component, rng);
             }
             Method::Kbi => {
                 let _ = self.kbz.generate_all_roots(ev, component);
-                self.ii.run(ev, component, rng);
+                let mut state = OrderState::new(ev, self.ii.move_set);
+                self.ii.run(ev, &mut state, component, rng);
             }
             Method::Cardfree => {
                 // One structural order, charged like any constructive
@@ -247,24 +245,7 @@ impl MethodRunner {
                 let order = CardFreeHeuristic.generate(ev.query().graph(), component);
                 ev.cost(&order);
             }
-            // Under the *linear* drivers the bushy methods run their
-            // honest linear restriction; the tree search itself lives in
-            // `MethodRunner::run_bushy` (crate::bushy_search).
-            Method::BushyIi => self.ii.run(ev, component, rng),
-            Method::BushySa => self.sa.run(ev, component, rng),
         }
-    }
-
-    /// Fallback helper shared by tests: a single random state, so `best()`
-    /// is never empty even under a one-unit budget.
-    pub fn seed_random<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        component: &[RelId],
-        rng: &mut R,
-    ) {
-        let order = random_valid_order(ev.query().graph(), component, rng);
-        ev.cost(&order);
     }
 }
 

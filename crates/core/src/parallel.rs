@@ -554,34 +554,12 @@ pub fn run_portfolio_robust(
     challenge_with_cardfree(query, model, component, base)
 }
 
-/// [`run_portfolio_robust`] over the *weighted* budget split of
-/// [`run_portfolio_weighted`]: the workers run under the learned
-/// shares, then the cardinality-free challenger gets its strict-`<`
-/// shot at the winner. The never-worse contract of the challenger is
-/// unchanged — it runs after the workers and never feeds back.
-pub fn run_portfolio_robust_weighted(
-    query: &Query,
-    model: &(dyn CostModel + Sync),
-    runner: &MethodRunner,
-    methods: &[Method],
-    component: &[RelId],
-    opts: &ParallelOptions,
-    method_weights: &[f64],
-) -> Option<ParallelResult> {
-    let base = run_portfolio_weighted(
-        query,
-        model,
-        runner,
-        methods,
-        component,
-        opts,
-        method_weights,
-    );
-    challenge_with_cardfree(query, model, component, base)
-}
-
-/// The shared challenger step of the robust portfolio variants.
-fn challenge_with_cardfree(
+/// The challenger step of [`run_portfolio_robust`], applied to the result
+/// of any portfolio run (uniform or weighted): the cardinality-free
+/// structural order replaces `base`'s winner only when strictly cheaper.
+/// It runs after the workers and never feeds back, so the never-worse
+/// contract holds whatever budget split produced `base`.
+pub(crate) fn challenge_with_cardfree(
     query: &Query,
     model: &(dyn CostModel + Sync),
     component: &[RelId],
@@ -1213,11 +1191,10 @@ mod tests {
         let runner = MethodRunner::default();
         let opts = ParallelOptions::new(4_000, 4, 31);
         let weights = [0.625, 0.125, 0.125, 0.125];
+        // The composition the driver runs for a routed robust portfolio.
         let plain = run_portfolio_weighted(&q, &model, &runner, &PORTFOLIO, &comp, &opts, &weights)
             .unwrap();
-        let robust =
-            run_portfolio_robust_weighted(&q, &model, &runner, &PORTFOLIO, &comp, &opts, &weights)
-                .unwrap();
+        let robust = challenge_with_cardfree(&q, &model, &comp, Some(plain.clone())).unwrap();
         assert!(robust.cost <= plain.cost);
         assert_eq!(robust.units_used, plain.units_used + comp.len() as u64 + 1);
         assert_eq!(robust.per_worker.last().unwrap().method, Method::Cardfree);

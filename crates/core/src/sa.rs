@@ -14,19 +14,23 @@
 //! anytime extension, a frozen annealer with budget remaining can re-heat
 //! from the best state found (`restart_on_frozen`), so that SA never idles
 //! while its competitors keep searching.
+//!
+//! The same loop anneals join orders and bushy trees (see
+//! [`crate::search`]).
 
 use rand::Rng;
 
 use ljqo_catalog::RelId;
 use ljqo_cost::Evaluator;
-use ljqo_plan::{random_valid_order, JoinOrder, MoveGenerator, MoveSet};
+use ljqo_plan::{random_valid_order, JoinOrder, MoveSet};
 
-use crate::movepath::MovePath;
+use crate::search::SearchState;
 
 /// Simulated annealing parameters (defaults follow SG88 / JAMS87).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulatedAnnealing {
-    /// Move-set composition.
+    /// Move-set composition for join orders (bushy runs sample
+    /// [`MethodRunner::tree_moves`](crate::MethodRunner::tree_moves)).
     pub move_set: MoveSet,
     /// Chain length multiplier: each temperature proposes
     /// `size_factor · N` moves.
@@ -44,14 +48,6 @@ pub struct SimulatedAnnealing {
     /// Re-heat from the best state instead of stopping when frozen with
     /// budget to spare.
     pub restart_on_frozen: bool,
-    /// Escape hatch: force from-scratch evaluation of every candidate
-    /// instead of the incremental (delta) path. See
-    /// [`IterativeImprovement::full_eval`](crate::IterativeImprovement::full_eval).
-    pub full_eval: bool,
-    /// Filter move proposals with the compiled windowed bitset checker
-    /// instead of full validity scans. See
-    /// [`IterativeImprovement::compiled_moves`](crate::IterativeImprovement::compiled_moves).
-    pub compiled_moves: bool,
 }
 
 impl Default for SimulatedAnnealing {
@@ -64,112 +60,99 @@ impl Default for SimulatedAnnealing {
             frozen_chains: 5,
             min_accept_ratio: 0.02,
             restart_on_frozen: true,
-            full_eval: false,
-            compiled_moves: true,
         }
     }
 }
 
 impl SimulatedAnnealing {
-    /// Calibrate the initial temperature from `start` by sampling moves:
-    /// `T₀ = mean(uphill Δ) / −ln(p₀)` makes the average uphill move
-    /// acceptable with probability `p₀`. Consumes budget like any other
-    /// search work.
-    ///
-    /// Returns `(T₀, path, start_cost)` with the move path reset to
-    /// `start` so the annealing loop can continue on the same evaluated
-    /// state. Returning the path matters for accounting: the old shape
-    /// ([`MovePath::begin`] here *and again* in [`anneal`]) charged the
-    /// start state twice — one wasted budget unit and a duplicate
-    /// evaluation on every SA run.
-    fn initial_temperature<'a, R: Rng + ?Sized>(
+    /// Calibrate the initial temperature by a short always-accepting
+    /// random walk from `state`'s current state (already paid for, at
+    /// `start_cost`): `T₀ = mean(uphill Δ) / −ln(p₀)` makes the average
+    /// uphill move acceptable with probability `p₀`. The walk consumes
+    /// budget like any other search work; the state is then returned to
+    /// its start for free, so the annealing loop continues on the same
+    /// evaluated state without charging it twice.
+    pub(crate) fn initial_temperature<'a, S: SearchState<'a>, R: Rng + ?Sized>(
         &self,
         ev: &mut Evaluator<'a>,
-        gen: &mut MoveGenerator,
-        start: JoinOrder,
+        state: &mut S,
+        start_cost: f64,
         rng: &mut R,
-    ) -> (f64, MovePath<'a>, f64) {
-        let home = start.clone();
-        let (mut path, start_cost) = MovePath::begin(ev, start, self.full_eval);
+    ) -> f64 {
+        let home = state.snapshot();
         let mut current = start_cost;
         let mut uphill_sum = 0.0f64;
         let mut uphill_n = 0u32;
-        let graph = ev.query().graph();
         for _ in 0..20 {
             if ev.exhausted() {
                 break;
             }
-            let Some((mv, attempts)) = gen.propose_counted(graph, path.order_mut(), rng) else {
+            let Some(attempts) = state.propose(rng) else {
                 break;
             };
             ev.charge(u64::from(attempts) - 1);
-            let c = path.cost_applied(ev, &mv);
+            let c = state.cost_pending(ev);
             let delta = c - current;
             if delta > 0.0 && delta.is_finite() {
                 uphill_sum += delta;
                 uphill_n += 1;
             }
-            path.accept(); // random walk: always accept during calibration
+            state.commit(); // random walk: always accept during calibration
             current = c;
         }
-        // Walk back to the start state; its cost was paid by `begin`, so
-        // the reset is free (see [`MovePath::reset_to`]). The jump
-        // invalidates the generator's windowed validity cache.
-        path.reset_to(home);
-        gen.reset();
-        let t0 = if uphill_n == 0 {
+        state.restore(home);
+        if uphill_n == 0 {
             1.0
         } else {
             (uphill_sum / uphill_n as f64) / -(self.init_accept.ln())
-        };
-        (t0, path, start_cost)
+        }
     }
 
-    /// Run annealing from `start` until frozen (and out of restarts) or the
-    /// budget is exhausted. The best visited state is tracked by the
-    /// evaluator.
-    pub fn anneal<R: Rng + ?Sized>(&self, ev: &mut Evaluator<'_>, start: JoinOrder, rng: &mut R) {
+    /// Anneal `state` from `start` (charged one unit) until frozen (and
+    /// out of restarts) or the budget is exhausted. The best visited state
+    /// is the state's best.
+    pub(crate) fn anneal<'a, S: SearchState<'a>, R: Rng + ?Sized>(
+        &self,
+        ev: &mut Evaluator<'a>,
+        state: &mut S,
+        start: JoinOrder,
+        rng: &mut R,
+    ) {
         let n = start.len();
+        let mut current = state.start(ev, start);
         if n < 2 {
-            ev.cost(&start);
             return;
         }
-        let mut gen = if self.compiled_moves {
-            MoveGenerator::with_compiled(ev.compiled().clone(), self.move_set)
-        } else {
-            MoveGenerator::new(ev.query().n_relations(), self.move_set)
-        };
-        let (t0, mut path, mut current) = self.initial_temperature(ev, &mut gen, start, rng);
+        let t0 = self.initial_temperature(ev, state, current, rng);
         let chain_length = (self.size_factor * n).max(4);
-        let graph = ev.query().graph();
 
         let mut temp = t0;
         let mut stale_chains = 0usize;
 
         while !ev.exhausted() {
-            let best_before = ev.best_cost();
+            let best_before = state.best_cost(ev);
             let mut accepted = 0usize;
             for _ in 0..chain_length {
                 if ev.exhausted() {
                     break;
                 }
-                let Some((mv, attempts)) = gen.propose_counted(graph, path.order_mut(), rng) else {
+                let Some(attempts) = state.propose(rng) else {
                     break;
                 };
                 ev.charge(u64::from(attempts) - 1);
-                let candidate = path.cost_applied(ev, &mv);
+                let candidate = state.cost_pending(ev);
                 let delta = candidate - current;
                 let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
                 if accept {
-                    path.accept();
+                    state.commit();
                     current = candidate;
                     accepted += 1;
                 } else {
-                    path.reject(&mv);
+                    state.rollback();
                 }
             }
             temp *= self.cooling;
-            let improved = ev.best_cost() < best_before;
+            let improved = state.best_cost(ev) < best_before;
             let collapsed = (accepted as f64) < self.min_accept_ratio * chain_length as f64;
             if improved {
                 stale_chains = 0;
@@ -180,12 +163,8 @@ impl SimulatedAnnealing {
                 if self.restart_on_frozen && !ev.exhausted() {
                     // Re-heat from the best state found so far. Its cost
                     // was already paid when it was first evaluated, so the
-                    // restart itself charges nothing (the incremental path
-                    // rebuilds its memoized state off-budget).
-                    if let Some((best, best_cost)) = ev.best() {
-                        let best = best.clone();
-                        path.reset_to(best);
-                        gen.reset();
+                    // restart itself charges nothing.
+                    if let Some(best_cost) = state.restart_from_best(ev) {
                         current = best_cost;
                     }
                     temp = (t0 * 0.5).max(f64::MIN_POSITIVE);
@@ -197,16 +176,23 @@ impl SimulatedAnnealing {
         }
     }
 
-    /// The plain SA method: anneal from a random valid start state.
-    pub fn run<R: Rng + ?Sized>(&self, ev: &mut Evaluator<'_>, component: &[RelId], rng: &mut R) {
+    /// The plain SA method: anneal `state` from a random valid start.
+    pub(crate) fn run<'a, S: SearchState<'a>, R: Rng + ?Sized>(
+        &self,
+        ev: &mut Evaluator<'a>,
+        state: &mut S,
+        component: &[RelId],
+        rng: &mut R,
+    ) {
         let start = random_valid_order(ev.query().graph(), component, rng);
-        self.anneal(ev, start, rng);
+        self.anneal(ev, state, start, rng);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::OrderState;
     use ljqo_catalog::{Query, QueryBuilder};
     use ljqo_cost::MemoryCostModel;
     use ljqo_plan::validity::is_valid;
@@ -237,7 +223,9 @@ mod tests {
         let mut ev = Evaluator::with_budget(&q, &model, 5_000);
         let mut rng = SmallRng::seed_from_u64(23);
         let comp: Vec<RelId> = q.rel_ids().collect();
-        SimulatedAnnealing::default().run(&mut ev, &comp, &mut rng);
+        let sa = SimulatedAnnealing::default();
+        let mut state = OrderState::new(&ev, sa.move_set);
+        sa.run(&mut ev, &mut state, &comp, &mut rng);
         let (best, cost) = ev.best().unwrap();
         assert!(is_valid(q.graph(), best.rels()));
         // Should clearly beat an average random state.
@@ -262,7 +250,8 @@ mod tests {
             restart_on_frozen: false,
             ..SimulatedAnnealing::default()
         };
-        sa.run(&mut ev, &comp, &mut rng);
+        let mut state = OrderState::new(&ev, sa.move_set);
+        sa.run(&mut ev, &mut state, &comp, &mut rng);
         assert!(
             !ev.exhausted(),
             "a non-restarting annealer must freeze long before 2M units"
@@ -276,7 +265,9 @@ mod tests {
         let model = MemoryCostModel::default();
         let mut ev = Evaluator::new(&q, &model);
         let mut rng = SmallRng::seed_from_u64(1);
-        SimulatedAnnealing::default().run(&mut ev, &[RelId(4)], &mut rng);
+        let sa = SimulatedAnnealing::default();
+        let mut state = OrderState::new(&ev, sa.move_set);
+        sa.run(&mut ev, &mut state, &[RelId(4)], &mut rng);
         assert_eq!(ev.best().unwrap().0.rels(), &[RelId(4)]);
     }
 
@@ -288,29 +279,31 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let comp: Vec<RelId> = q.rel_ids().collect();
         let sa = SimulatedAnnealing::default();
-        let mut gen = MoveGenerator::new(q.n_relations(), sa.move_set);
+        let mut state = OrderState::new(&ev, sa.move_set);
         let start = random_valid_order(q.graph(), &comp, &mut rng);
-        let (t0, path, start_cost) =
-            sa.initial_temperature(&mut ev, &mut gen, start.clone(), &mut rng);
+        let start_cost = state.start(&mut ev, start.clone());
+        let t0 = sa.initial_temperature(&mut ev, &mut state, start_cost, &mut rng);
         assert!(t0.is_finite() && t0 > 0.0);
         assert!(start_cost.is_finite());
-        // The path comes back parked on the start state, ready to anneal.
-        assert_eq!(path.order(), &start);
+        // The state comes back parked on the start state, ready to anneal.
+        assert_eq!(state.snapshot(), start);
     }
 
     #[test]
     fn start_state_is_charged_exactly_once() {
-        // Regression: temperature calibration opened a MovePath on the
-        // start state and `anneal` then opened a second one on the same
-        // state — charging the start twice. With a budget of one unit the
-        // whole run now performs exactly one evaluation (the start) and
-        // stops, instead of spending a unit it never had.
+        // Regression: temperature calibration once evaluated the start
+        // state and `anneal` then evaluated it again — charging the start
+        // twice. With a budget of one unit the whole run performs exactly
+        // one evaluation (the start) and stops, instead of spending a
+        // unit it never had.
         let q = chain_query();
         let model = MemoryCostModel::default();
         let mut ev = Evaluator::with_budget(&q, &model, 1);
         let mut rng = SmallRng::seed_from_u64(5);
         let comp: Vec<RelId> = q.rel_ids().collect();
-        SimulatedAnnealing::default().run(&mut ev, &comp, &mut rng);
+        let sa = SimulatedAnnealing::default();
+        let mut state = OrderState::new(&ev, sa.move_set);
+        sa.run(&mut ev, &mut state, &comp, &mut rng);
         assert_eq!(ev.used(), 1);
         assert_eq!(ev.n_evals(), 1);
         assert!(ev.best().is_some());

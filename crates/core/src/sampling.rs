@@ -31,7 +31,7 @@ impl RandomSampling {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IterativeImprovement, Method, MethodRunner};
+    use crate::{Method, MethodRunner};
     use ljqo_cost::MemoryCostModel;
     use ljqo_plan::validity::is_valid;
     use ljqo_workload_testutil::default_query;
@@ -94,7 +94,7 @@ mod tests {
 
             let mut ev_ii = Evaluator::with_budget(&q, &model, budget);
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xffff);
-            IterativeImprovement::default().run(&mut ev_ii, &comp, &mut rng);
+            MethodRunner::default().run(Method::Ii, &mut ev_ii, &comp, &mut rng);
 
             if ev_ii.best_cost() <= ev_rs.best_cost() * (1.0 + 1e-12) {
                 wins += 1;

@@ -7,6 +7,10 @@
 //! wires a counting `#[global_allocator]` around the real loop and asserts
 //! exactly that, for both the static and the propagated estimator.
 //!
+//! The last three tests drive the production II descent itself — the one
+//! loop the linear and bushy search spaces share — rather than the
+//! generator and evaluators by hand.
+//!
 //! The counter is per-thread (other test threads must not bleed into the
 //! measurement) and counts allocation *events* — `alloc`, `alloc_zeroed`
 //! and growing `realloc` all bump it, so a single `Vec` regrowth anywhere
@@ -19,8 +23,11 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use ljqo::{IterativeImprovement, Method, MethodRunner};
 use ljqo_catalog::{CompiledQuery, Query, QueryBuilder, RelId};
-use ljqo_cost::{Estimator, Evaluator, IncrementalEvaluator, MemoryCostModel, TreeEvaluator};
+use ljqo_cost::{
+    CostModel, Estimator, Evaluator, IncrementalEvaluator, JoinCtx, MemoryCostModel, TreeEvaluator,
+};
 use ljqo_plan::{random_valid_order, MoveGenerator, MoveSet, TreeMoveSet, TreePlan};
 
 struct CountingAlloc;
@@ -303,6 +310,114 @@ fn evaluator_cost_move_is_allocation_free_in_release() {
         assert_eq!(
             events, 0,
             "Evaluator::cost_move steady-state loop performed {events} heap allocations"
+        );
+    }
+}
+
+/// The memory model with incremental evaluation switched off, so the
+/// linear search state re-walks the whole order for every candidate.
+struct FullWalkOnly(MemoryCostModel);
+
+impl CostModel for FullWalkOnly {
+    fn join_cost(&self, ctx: &JoinCtx) -> f64 {
+        self.0.join_cost(ctx)
+    }
+
+    fn name(&self) -> &'static str {
+        "full-walk-only"
+    }
+
+    fn supports_incremental(&self) -> bool {
+        false
+    }
+}
+
+/// Allocation events spent by the steady state of the production II
+/// descent (the one loop both search spaces share), driven through
+/// [`MethodRunner`] on `q` with `model`.
+///
+/// A fail limit no run reaches makes every run a single descent, so two
+/// runs from one seed agree on everything up to the shorter budget: the
+/// start state, the evaluator and state set-up, the first iterations.
+/// The difference of their allocation counts is what the extra
+/// propose → cost → commit/rollback iterations of the longer run
+/// allocated. The longer run must also end on a cheaper state, so those
+/// iterations committed moves as well as rolling them back.
+fn descend_steady_state_events(q: &Query, model: &dyn CostModel, bushy: bool) -> u64 {
+    let runner = MethodRunner {
+        ii: IterativeImprovement {
+            fail_factor: 1e12,
+            ..IterativeImprovement::default()
+        },
+        ..MethodRunner::default()
+    };
+    let comp: Vec<RelId> = q.rel_ids().collect();
+    let run = |budget: u64| {
+        let mut ev = Evaluator::with_budget(q, model, budget);
+        let mut rng = SmallRng::seed_from_u64(0xa110c + 5);
+        let before = alloc_events();
+        let cost = if bushy {
+            let best = runner.run_bushy(Method::BushyIi, &mut ev, &comp, &mut rng);
+            best.map(|(_, cost)| cost)
+        } else {
+            runner.run(Method::Ii, &mut ev, &comp, &mut rng);
+            ev.best().map(|(_, cost)| cost)
+        };
+        let events = alloc_events() - before;
+        (events, cost.expect("a run evaluates its start state"))
+    };
+    let (short_events, short_cost) = run(1_000);
+    let (long_events, long_cost) = run(4_000);
+    assert!(
+        long_cost < short_cost,
+        "the extra budget must keep descending ({long_cost} vs {short_cost})"
+    );
+    long_events - short_events
+}
+
+/// The linear descent under incremental costing, at N = 200: the
+/// compiled windowed filter, `Evaluator::cost_move` and best-order
+/// tracking allocate nothing at steady state. Release builds only: debug
+/// builds re-cost every candidate from scratch into temporary buffers
+/// (see `evaluator_cost_move_is_allocation_free_in_release`).
+#[test]
+fn linear_descent_is_allocation_free_at_n200_in_release() {
+    let events = descend_steady_state_events(&large_query(), &MemoryCostModel::default(), false);
+    if !cfg!(debug_assertions) {
+        assert_eq!(
+            events, 0,
+            "linear II descent (incremental) performed {events} heap allocations"
+        );
+    }
+}
+
+/// The linear descent under full-walk costing (a model that opts out of
+/// incremental evaluation), at N = 200. Release builds only: debug builds
+/// check every newly recorded best order for duplicates in a temporary
+/// copy (`JoinOrder::copy_from_rels`).
+#[test]
+fn full_walk_descent_is_allocation_free_at_n200_in_release() {
+    let model = FullWalkOnly(MemoryCostModel::default());
+    let events = descend_steady_state_events(&large_query(), &model, false);
+    if !cfg!(debug_assertions) {
+        assert_eq!(
+            events, 0,
+            "linear II descent (full walk) performed {events} heap allocations"
+        );
+    }
+}
+
+/// The bushy descent at N = 200: tree moves, path-to-root re-costing and
+/// best-tree recording allocate nothing at steady state. Release builds
+/// only, for the debug-only full re-cost of every candidate (see
+/// `tree_evaluator_move_loop_is_allocation_free_in_release`).
+#[test]
+fn bushy_descent_is_allocation_free_at_n200_in_release() {
+    let events = descend_steady_state_events(&large_query(), &MemoryCostModel::default(), true);
+    if !cfg!(debug_assertions) {
+        assert_eq!(
+            events, 0,
+            "bushy II descent performed {events} heap allocations"
         );
     }
 }

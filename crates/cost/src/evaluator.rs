@@ -270,9 +270,7 @@ impl<'a> Evaluator<'a> {
     /// Start incremental evaluation of `order`: build the per-prefix
     /// memoized state and record the order's cost like [`Evaluator::cost`]
     /// would (one budget unit is charged for the initial full walk).
-    /// Subsequent moves are costed with [`Evaluator::cost_move`]; the
-    /// caller gets the order back with
-    /// [`IncrementalEvaluator::into_order`].
+    /// Subsequent moves are costed with [`Evaluator::cost_move`].
     ///
     /// Callers must check [`CostModel::supports_incremental`] first — a
     /// model that overrides its order cost cannot be summed per step.

@@ -26,8 +26,9 @@
 //!
 //! That makes a move evaluation `O(window + deg)` instead of `O(N)`: an
 //! adjacent swap is constant work, and a random arbitrary swap touches
-//! `~N/3` positions on average. The `moves_incremental` bench in
-//! `ljqo-bench` quantifies the resulting throughput.
+//! `~N/3` positions on average. The `hot_path` bench in `ljqo-bench`
+//! quantifies the resulting throughput (`move_evaluation`, and the
+//! `full` vs `incremental` columns of `end_to_end_ii`).
 //!
 //! # Floating-point contract
 //!
@@ -235,12 +236,6 @@ impl<'a> IncrementalEvaluator<'a> {
         inc
     }
 
-    /// The estimator this evaluator mirrors.
-    #[inline]
-    pub fn estimator(&self) -> Estimator {
-        self.estimator
-    }
-
     /// The current order (with a pending move applied, if any).
     #[inline]
     pub fn order(&self) -> &JoinOrder {
@@ -255,15 +250,6 @@ impl<'a> IncrementalEvaluator<'a> {
     #[inline]
     pub fn order_mut(&mut self) -> &mut JoinOrder {
         &mut self.order
-    }
-
-    /// Consume the evaluator, returning the current order.
-    pub fn into_order(self) -> JoinOrder {
-        debug_assert!(
-            self.pending.is_none(),
-            "pending move neither kept nor undone"
-        );
-        self.order
     }
 
     /// Replace the current order and rebuild the memoized state from

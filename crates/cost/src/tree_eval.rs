@@ -239,13 +239,6 @@ impl<'a> TreeEvaluator<'a> {
         sanitize_cost(self.memo_cost[self.plan.root() as usize].min(f64::MAX))
     }
 
-    /// Estimated cardinality of the tree's final result.
-    #[inline]
-    pub fn final_card(&self) -> f64 {
-        debug_assert!(!self.pending);
-        self.memo_card[self.plan.root() as usize]
-    }
-
     /// Sample, apply and validate one random move on the owned tree (see
     /// [`TreePlan::propose`]). On `Some`, the move is pending: call
     /// [`eval_pending`](TreeEvaluator::eval_pending), then
